@@ -7,21 +7,23 @@ of nets.
 
 The class provides the derived views every downstream consumer needs:
 topological order, levelization (for the bit-parallel simulator and
-static timing analysis), fanout maps (for capacitance extraction) and
-structural statistics.  Derived views are computed lazily and cached;
-any mutation invalidates the caches.
+static timing analysis), the fanout index (for capacitance extraction)
+and structural statistics.  Derived views are computed lazily and
+cached; any mutation invalidates the caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -319,25 +321,37 @@ class Circuit:
         lv = self.levels()
         return max(lv.values(), default=0)
 
-    def fanout_map(self) -> Dict[str, List[str]]:
-        """Map net -> list of gate nets that read it (deterministic order)."""
-        cached = self._cache.get("fanout")
-        if cached is not None:
-            return {k: list(v) for k, v in cached.items()}
+    def fanout_index(self) -> Mapping[str, Tuple[str, ...]]:
+        """Read-only map net -> tuple of gate nets that read it.
+
+        A gate appears once per input pin it reads the net on, in gate
+        insertion order.  Built once per circuit in O(nets + pins) and
+        shared by every per-net query; use :meth:`fanout_map` for a
+        mutable copy.
+        """
+        return self.memo("fanout", self._build_fanout_index)
+
+    def _build_fanout_index(self) -> Mapping[str, Tuple[str, ...]]:
         fo: Dict[str, List[str]] = {net: [] for net in self.nets}
         for gate in self._gates.values():
             for src in gate.fanin:
                 fo[src].append(gate.name)
-        self._cache["fanout"] = {k: tuple(v) for k, v in fo.items()}
-        return fo
+        return MappingProxyType({k: tuple(v) for k, v in fo.items()})
+
+    def fanout_map(self) -> Dict[str, List[str]]:
+        """Map net -> list of gate nets that read it (deterministic order).
+
+        Returns a fresh, caller-owned copy of :meth:`fanout_index`.
+        """
+        return {k: list(v) for k, v in self.fanout_index().items()}
 
     def fanout_count(self, net: str) -> int:
         """Number of gate inputs driven by ``net`` (counting multiplicity)."""
-        return len(self.fanout_map()[net])
+        return len(self.fanout_index()[net])
 
     def dangling_nets(self) -> List[str]:
         """Nets that drive nothing and are not primary outputs."""
-        fo = self.fanout_map()
+        fo = self.fanout_index()
         outs = set(self._outputs)
         return [n for n in self.nets if not fo[n] and n not in outs]
 
@@ -358,7 +372,7 @@ class Circuit:
     def stats(self) -> CircuitStats:
         """Compute summary statistics (gate counts, depth, fanout)."""
         counts = Counter(g.gtype.value for g in self._gates.values())
-        fo = self.fanout_map()
+        fo = self.fanout_index()
         max_fo = max((len(v) for v in fo.values()), default=0)
         total_fanin = sum(len(g.fanin) for g in self._gates.values())
         avg_fanin = total_fanin / self.num_gates if self._gates else 0.0

@@ -106,10 +106,12 @@ class CellLibrary:
         inputs — their drivers are off-chip), each sink pin's input
         capacitance, and the wire-load estimate.
         """
+        # The summation order (driver, sinks in fanout order, wire) is
+        # pinned: every simulated power is bit-identical under it.
         cap = 0.0
         if not circuit.is_input(net):
             cap += self.params(circuit.gate(net).gtype).output_cap_ff
-        sinks = circuit.fanout_map()[net]
+        sinks = circuit.fanout_index()[net]
         for sink in sinks:
             cap += self.params(circuit.gate(sink).gtype).input_cap_ff
         cap += self.wire_cap_per_fanout_ff * len(sinks)
@@ -123,8 +125,10 @@ class CellLibrary:
         """
         if circuit.is_input(net):
             return 0.0
+        return self._delay(circuit, net, self.net_capacitance(circuit, net))
+
+    def _delay(self, circuit: Circuit, net: str, load: float) -> float:
         cell = self.params(circuit.gate(net).gtype)
-        load = self.net_capacitance(circuit, net)
         return cell.intrinsic_delay_ps + cell.delay_per_ff_ps * load
 
     def all_net_capacitances(self, circuit: Circuit) -> Dict[str, float]:
@@ -134,8 +138,18 @@ class CellLibrary:
         }
 
     def all_gate_delays(self, circuit: Circuit) -> Dict[str, float]:
-        """Net -> driver delay for every net (0.0 for primary inputs)."""
-        return {net: self.gate_delay(circuit, net) for net in circuit.nets}
+        """Net -> driver delay for every net (0.0 for primary inputs).
+
+        One :meth:`all_net_capacitances` pass supplies every load.
+        """
+        caps = self.all_net_capacitances(circuit)
+        return {
+            net: (
+                0.0 if circuit.is_input(net)
+                else self._delay(circuit, net, load)
+            )
+            for net, load in caps.items()
+        }
 
     # ------------------------------------------------------------------
     # serialization (simple JSON technology files)

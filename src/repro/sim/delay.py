@@ -71,7 +71,5 @@ class LibraryDelay(DelayModel):
         self.library = library if library is not None else default_library()
 
     def delays_for(self, circuit: Circuit) -> Dict[str, float]:
-        return {
-            net: self.library.gate_delay(circuit, net)
-            for net in circuit.gates
-        }
+        delays = self.library.all_gate_delays(circuit)
+        return {net: delays[net] for net in circuit.gates}

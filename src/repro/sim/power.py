@@ -123,9 +123,9 @@ class PowerAnalyzer:
         self.mode = mode
         self._bitsim = BitParallelSimulator(circuit, kernel=kernel)
         self._batcher = batcher
-        caps_ff = self.library.all_net_capacitances(circuit)
+        self._caps_ff = self.library.all_net_capacitances(circuit)
         self._net_caps_f = np.array(
-            [caps_ff[n] * _FF_TO_F for n in self._bitsim.net_order],
+            [self._caps_ff[n] * _FF_TO_F for n in self._bitsim.net_order],
             dtype=np.float64,
         )
         self._event_delay_model = delay_model or LibraryDelay(self.library)
@@ -193,9 +193,8 @@ class PowerAnalyzer:
 
     def breakdown_from_result(self, result: PairSimResult) -> PowerBreakdown:
         """Convert an event-simulation result into power numbers."""
-        caps_ff = self.library.all_net_capacitances(self.circuit)
         energy = self.energy_scale * sum(
-            caps_ff[net] * _FF_TO_F * count
+            self._caps_ff[net] * _FF_TO_F * count
             for net, count in result.toggle_counts.items()
         )
         return PowerBreakdown(

@@ -1,5 +1,7 @@
 """Circuit DAG construction, validation and derived views."""
 
+import pickle
+
 import pytest
 
 from repro.errors import NetlistError
@@ -126,6 +128,28 @@ class TestDerivedViews:
         assert sorted(fo["G11"]) == ["G16", "G19"]
         assert fo["G22"] == []
         assert c17.fanout_count("G16") == 2
+
+    def test_fanout_index_is_read_only_and_cached(self, c17):
+        index = c17.fanout_index()
+        assert index is c17.fanout_index()
+        assert {k: list(v) for k, v in index.items()} == c17.fanout_map()
+        assert all(isinstance(v, tuple) for v in index.values())
+        with pytest.raises(TypeError):
+            index["G11"] = ()
+
+    def test_fanout_index_rebuilt_after_mutation(self, c17):
+        before = c17.fanout_index()
+        c17.add_gate("extra", GateType.NOT, ["G22"])
+        after = c17.fanout_index()
+        assert after is not before
+        assert after["G22"] == ("extra",)
+        assert after["extra"] == ()
+
+    def test_pickle_drops_fanout_index(self, c17):
+        index = c17.fanout_index()
+        clone = pickle.loads(pickle.dumps(c17))
+        assert clone._cache == {}
+        assert dict(clone.fanout_index()) == dict(index)
 
     def test_dangling_nets(self):
         c = Circuit()
