@@ -3,22 +3,20 @@
 Measures pairs/second of the three power-simulation paths on one suite
 circuit, plus the compiled-vs-interpreted kernel A/B on unit-delay
 population builds (the artifact behind ``BENCH_5.json``) and the
-three-tier kernel A/B with the cross-job batch sweep (the artifact
-behind ``BENCH_10.json``).  The bit-parallel paths are what let the
-experiment harness simulate 10^5-pair populations in seconds; the
-event-driven path is the reference semantics.
+three-tier kernel A/B (the artifact behind ``BENCH_10.json``).  The
+bit-parallel paths are what let the experiment harness simulate
+10^5-pair populations in seconds; the event-driven path is the
+reference semantics.
 """
 
 import json
 import os
-import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.netlist.generators import build_circuit
-from repro.sim.batch import SimBatcher
 from repro.sim.native import backend_name, native_available
 from repro.sim.power import PowerAnalyzer
 from repro.vectors.generators import random_vector_pairs
@@ -141,10 +139,6 @@ TIER_WORKLOADS = {
     "paper": ("c7552", 16384, 8),
 }
 
-# Batch sweep: fixed aggregate work split across N concurrent jobs.
-BATCH_JOB_COUNTS = (1, 2, 4, 8)
-BATCH_PAIRS_PER_JOB = 512
-
 
 def _min_time(fn, trials):
     best = float("inf")
@@ -155,17 +149,13 @@ def _min_time(fn, trials):
     return best
 
 
-def test_kernel_tier_ab_and_batch_sweep(results_dir):
-    """Interp vs compiled vs native, plus the cross-job batch sweep.
+def test_kernel_tier_ab(results_dir):
+    """Interp vs compiled vs native on one unit-delay workload.
 
-    Part one times ``powers_for_pairs`` on the same packed workload
-    (same seed) per kernel tier and asserts all tiers produce
-    float-identical powers — the native tier must be a pure speedup.
-    Part two runs a fixed aggregate workload split across 1..8
-    concurrent jobs twice: per-job dispatch (each thread calls the
-    simulator directly) vs batched dispatch (all threads share one
-    :class:`SimBatcher`), recording aggregate pairs/s for each point.
-    Everything lands in ``BENCH_10.json``.
+    Times ``powers_for_pairs`` on the same packed workload (same seed)
+    per kernel tier and asserts all tiers produce float-identical
+    powers — the native tier must be a pure speedup.  The timings land
+    in ``BENCH_10.json``.
     """
     scale = os.environ.get("REPRO_SCALE", "smoke").lower()
     circuit_name, num_pairs, trials = TIER_WORKLOADS.get(
@@ -205,59 +195,6 @@ def test_kernel_tier_ab_and_batch_sweep(results_dir):
             / tier_results["native"]["seconds"]
         )
 
-    # ------------------------------------------------------------------
-    # Cross-job batch sweep (the service scenario: many small jobs).
-    batch_kernel = "native" if have_native else "compiled"
-    sweep = []
-    for num_jobs in BATCH_JOB_COUNTS:
-        pairs = [
-            (
-                rng.integers(0, 2, size=(BATCH_PAIRS_PER_JOB, circuit.num_inputs), dtype=np.uint8),
-                rng.integers(0, 2, size=(BATCH_PAIRS_PER_JOB, circuit.num_inputs), dtype=np.uint8),
-            )
-            for _ in range(num_jobs)
-        ]
-
-        def run_jobs(analyzers):
-            threads = [
-                threading.Thread(
-                    target=analyzers[i].powers_for_pairs, args=pairs[i]
-                )
-                for i in range(num_jobs)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-        solo = [
-            PowerAnalyzer(circuit, mode="unit", kernel=batch_kernel)
-            for _ in range(num_jobs)
-        ]
-        batcher = SimBatcher()
-        fused = [
-            PowerAnalyzer(
-                circuit, mode="unit", kernel=batch_kernel, batcher=batcher
-            )
-            for _ in range(num_jobs)
-        ]
-        run_jobs(solo)  # warm-up (plan/backend/buffers)
-        run_jobs(fused)
-        total = num_jobs * BATCH_PAIRS_PER_JOB
-        solo_s = _min_time(lambda: run_jobs(solo), trials)
-        fused_s = _min_time(lambda: run_jobs(fused), trials)
-        sweep.append(
-            {
-                "jobs": num_jobs,
-                "pairs_per_job": BATCH_PAIRS_PER_JOB,
-                "per_job_seconds": solo_s,
-                "batched_seconds": fused_s,
-                "per_job_pairs_per_s": total / solo_s,
-                "batched_pairs_per_s": total / fused_s,
-                "batched_speedup": solo_s / fused_s,
-            }
-        )
-
     payload = {
         "benchmark": "sim_kernel_tiers",
         "circuit": circuit_name,
@@ -269,10 +206,6 @@ def test_kernel_tier_ab_and_batch_sweep(results_dir):
         "tiers": tier_results,
         "native_vs_compiled_speedup": native_speedup,
         "powers_bit_identical": True,
-        "batch_sweep": {
-            "kernel": batch_kernel,
-            "points": sweep,
-        },
     }
     (results_dir / "BENCH_10.json").write_text(
         json.dumps(payload, indent=2) + "\n"
@@ -282,19 +215,9 @@ def test_kernel_tier_ab_and_batch_sweep(results_dir):
         for tier, res in tier_results.items()
     )
     print(f"\n{circuit_name} unit-delay, {num_pairs} pairs: {lines}")
-    at_eight = next(p for p in sweep if p["jobs"] == 8)
-    print(
-        f"batch sweep @8 jobs: per-job {at_eight['per_job_pairs_per_s']:.0f}"
-        f" vs batched {at_eight['batched_pairs_per_s']:.0f} pairs/s"
-        f" ({at_eight['batched_speedup']:.2f}x)"
-    )
-    # Loose floors so shared CI boxes don't flake; the committed
-    # BENCH_10.json records the measured ratios.
+    # Loose floor so shared CI boxes don't flake; the committed
+    # BENCH_10.json records the measured ratio.
     if have_native:
         assert native_speedup >= 1.0, (
             f"native slower than compiled ({native_speedup:.2f}x)"
         )
-    assert at_eight["batched_speedup"] >= 1.0, (
-        "batched dispatch slower than per-job at 8 concurrent jobs "
-        f"({at_eight['batched_speedup']:.2f}x)"
-    )

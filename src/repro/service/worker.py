@@ -35,7 +35,10 @@ token anyway), and is counted under
 Populations are cached per worker pool (small LRU keyed on the exact
 build arguments) so repeated jobs against the same circuit skip the
 simulation of tens of thousands of vector pairs.  The cache key includes
-the build seed, so it can never alias two different populations.
+the build seed, so it can never alias two different populations.  A
+population build simulates on the worker thread that claimed the job;
+the native kernel releases the GIL, so two workers' kernel calls run at
+the same time.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from ..estimation.adaptive import build_estimator
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from ..obs.trace import get_tracer
-from ..sim.batch import batching_enabled, get_batcher
 from .jobs import Job, JobStore
 
 __all__ = ["WorkerPool"]
@@ -94,11 +96,6 @@ class WorkerPool:
         self._threads: List[threading.Thread] = []
         self._cache_lock = threading.Lock()
         self._populations: "OrderedDict[tuple, object]" = OrderedDict()
-        # One process-wide batcher shared by every worker thread (and
-        # every pool of this replica): concurrent jobs on the same
-        # circuit fuse their unit-delay simulation into shared kernel
-        # invocations.  REPRO_SIM_BATCH=0 opts out.
-        self._batcher = get_batcher() if batching_enabled() else None
         self._busy_lock = threading.Lock()
         self._busy = 0
         #: In-flight claim attempts, keyed by (job id, lease token) and
@@ -190,7 +187,6 @@ class WorkerPool:
             frequency_mhz=spec.frequency_mhz,
             seed=spec.seed,
             workers=spec.config.workers,
-            batcher=self._batcher,
         )
         with self._cache_lock:
             self._populations[key] = population

@@ -33,6 +33,7 @@ matrices and the ``(num_inputs, num_words)`` lane layout.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,7 +42,6 @@ from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType, eval_gate_words
 from .compiled import (
-    _UNIT_LANE_BLOCK,
     CompiledPlan,
     accumulate_planes,
     charge_planes,
@@ -62,6 +62,15 @@ __all__ = [
 # Back-compat alias: sibling modules import the lane-mask helper from
 # here (the implementation moved to repro.sim.compiled).
 _lane_mask = lane_mask
+
+#: Lanes processed per unit-delay block.  Blocking keeps the per-block
+#: transients (state copy, bit-plane counters) cache-sized while still
+#: amortizing per-step call overhead over wide words; 4096 lanes is at
+#: or near the minimum of the kernels' cost curves on the deep suite
+#: circuits.  Lanes are independent, so blocking cannot change any
+#: toggle count; it only groups the floating-point partial sums of the
+#: final charge, and every tier shares this one split.
+_UNIT_LANE_BLOCK = 4096
 
 
 def pack_vectors(bits: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -196,16 +205,23 @@ class BitParallelSimulator:
         if self._plan is not None:
             return self._plan.steady_state(input_words, num_lanes)
         input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
+        num_words = input_words.shape[-1]
+        if num_lanes > num_words * 64:
+            raise SimulationError("num_lanes exceeds word capacity")
+        return self._settle_interp(
+            input_words, lane_mask(num_lanes, num_words)
+        )
+
+    def _settle_interp(
+        self, input_words: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """Interpreted zero-delay settle of every net in ``mask``'s lanes."""
         if input_words.shape[0] != self.num_inputs:
             raise SimulationError(
                 f"expected {self.num_inputs} input rows, "
                 f"got {input_words.shape[0]}"
             )
-        num_words = input_words.shape[1]
-        if num_lanes > num_words * 64:
-            raise SimulationError("num_lanes exceeds word capacity")
-        mask = _lane_mask(num_lanes, num_words)
-        state = np.empty((self.num_nets, num_words), dtype=np.uint64)
+        state = np.empty((self.num_nets, mask.shape[0]), dtype=np.uint64)
         state[: self.num_inputs] = input_words & mask
         for out_idx, gtype, fanin in self._ops:
             state[out_idx] = eval_gate_words(
@@ -262,12 +278,14 @@ class BitParallelSimulator:
         """Per-lane weighted toggle sum under unit-delay (with glitches).
 
         Synchronous relaxation: step *t* evaluates gates from the
-        values of step *t-1*.  Stops when globally stable.  The
-        compiled kernel evaluates only the gates whose fanin changed in
-        the previous step (active-gate scheduling); the interpreted
-        kernel re-evaluates every gate.  Both accumulate per-step
-        toggles into the same packed bit-plane counters and charge
-        them through :func:`repro.sim.compiled.charge_planes`, so
+        values of step *t-1*.  Stops when globally stable.  The lanes
+        are split into ``_UNIT_LANE_BLOCK``-lane blocks; per block the
+        tier's integer phase fills packed bit-plane toggle counters
+        (:meth:`~repro.sim.compiled.CompiledPlan.unit_delay_planes`,
+        :func:`~repro.sim.native.unit_delay_planes_native`, or the
+        interpreter, which re-evaluates every gate each step) and one
+        shared :func:`~repro.sim.compiled.charge_planes` call charges
+        them.  Every tier sees the same blocks and the same charge, so
         their energies are float-identical.
 
         Raises
@@ -278,101 +296,80 @@ class BitParallelSimulator:
             so it guards against internal errors.
         """
         if self._kernel == "native":
-            return self._toggle_energy_unit_delay_native(
-                v1_words, v2_words, num_lanes, net_caps, max_steps
-            )
-        if self._plan is not None:
-            return self._plan.toggle_energy_unit_delay(
-                v1_words, v2_words, num_lanes, net_caps, max_steps
-            )
+            from .native import unit_delay_planes_native
+
+            block_planes = partial(unit_delay_planes_native, self._plan)
+        elif self._plan is not None:
+            block_planes = self._plan.unit_delay_planes
+        else:
+            block_planes = self._unit_delay_planes_interp
         if max_steps is None:
-            max_steps = self.circuit.depth() + 4
+            depth = (
+                self._plan.depth if self._plan is not None
+                else self.circuit.depth()
+            )
+            max_steps = depth + 4
         caps = np.asarray(net_caps, dtype=np.float64)
         v1_words = np.ascontiguousarray(v1_words, dtype=np.uint64)
         v2_words = np.ascontiguousarray(v2_words, dtype=np.uint64)
         energy = np.empty(num_lanes, dtype=np.float64)
         for lo in range(0, num_lanes, _UNIT_LANE_BLOCK):
             hi = min(lo + _UNIT_LANE_BLOCK, num_lanes)
-            lanes = hi - lo
             ws = slice(lo // 64, (hi + 63) // 64)
-            state = self.steady_state(v1_words[:, ws], lanes)
-            num_words = state.shape[1]
-            mask = _lane_mask(lanes, num_words)
-            planes = make_planes(self.num_nets, num_words, max_steps + 1)
-            planes_used = 0
-
-            # Input transitions.
-            v2_masked = v2_words[:, ws] & mask
-            in_diff = state[: self.num_inputs] ^ v2_masked
-            ch = np.flatnonzero(in_diff.any(axis=1))
-            planes_used = max(
-                planes_used, accumulate_planes(planes, ch, in_diff[ch])
+            mask = lane_mask(hi - lo, ws.stop - ws.start)
+            planes, planes_used = block_planes(
+                v1_words[:, ws], v2_words[:, ws], mask, max_steps
             )
-            state[: self.num_inputs] = v2_masked
-
-            # Double buffer: input rows are identical in both buffers
-            # and the loop rewrites every gate row, so one initial copy
-            # suffices.
-            prev = state
-            cur = state.copy()
-            stabilized = False
-            for _step in range(max_steps):
-                for out_idx, gtype, fanin in self._ops:
-                    cur[out_idx] = eval_gate_words(
-                        gtype, [prev[i] for i in fanin], mask
-                    )
-                diff = prev[self.num_inputs :] ^ cur[self.num_inputs :]
-                changed = np.flatnonzero(diff.any(axis=1))
-                if changed.size == 0:
-                    stabilized = True
-                    break
-                planes_used = max(
-                    planes_used,
-                    accumulate_planes(
-                        planes, changed + self.num_inputs, diff[changed]
-                    ),
-                )
-                prev, cur = cur, prev
-            if not stabilized:
-                raise SimulationError(
-                    "unit-delay simulation did not stabilize — "
-                    "invariant broken"
-                )
-            energy[lo:hi] = charge_planes(planes, caps, lanes, planes_used)
+            energy[lo:hi] = charge_planes(planes, caps, hi - lo, planes_used)
+            # Drop the plane views before the next block, so the native
+            # tier reuses its per-thread plane buffer.
+            del planes
         return energy
 
-    def _toggle_energy_unit_delay_native(
+    def _unit_delay_planes_interp(
         self,
         v1_words: np.ndarray,
         v2_words: np.ndarray,
-        num_lanes: int,
-        net_caps: np.ndarray,
-        max_steps: Optional[int],
-    ) -> np.ndarray:
-        """Native-tier unit-delay energy: same lane blocking and the
-        same shared :func:`charge_planes` as the compiled tier, with
-        only the integer wavefront loop replaced by the accelerator
-        (:func:`repro.sim.native.unit_delay_planes_native`) — so the
-        energies are float-identical to the other tiers."""
-        from .native import unit_delay_planes_native
+        mask: np.ndarray,
+        max_steps: int,
+    ) -> Tuple[List[np.ndarray], int]:
+        """Interpreted integer phase of one unit-delay block: every gate
+        is re-evaluated each step (cf.
+        :meth:`~repro.sim.compiled.CompiledPlan.unit_delay_planes`)."""
+        state = self._settle_interp(v1_words, mask)
+        num_words = state.shape[1]
+        planes = make_planes(self.num_nets, num_words, max_steps + 1)
 
-        if max_steps is None:
-            max_steps = self._plan.depth + 4
-        caps = np.asarray(net_caps, dtype=np.float64)
-        v1_words = np.ascontiguousarray(v1_words, dtype=np.uint64)
-        v2_words = np.ascontiguousarray(v2_words, dtype=np.uint64)
-        energy = np.empty(num_lanes, dtype=np.float64)
-        for lo in range(0, num_lanes, _UNIT_LANE_BLOCK):
-            hi = min(lo + _UNIT_LANE_BLOCK, num_lanes)
-            lanes = hi - lo
-            ws = slice(lo // 64, (hi + 63) // 64)
-            num_words = (hi + 63) // 64 - lo // 64
-            mask = lane_mask(lanes, num_words)
-            planes, planes_used = unit_delay_planes_native(
-                self._plan, v1_words[:, ws], v2_words[:, ws], mask, max_steps
+        # Input transitions.
+        v2_masked = v2_words & mask
+        in_diff = state[: self.num_inputs] ^ v2_masked
+        ch = np.flatnonzero(in_diff.any(axis=1))
+        planes_used = accumulate_planes(planes, ch, in_diff[ch])
+        state[: self.num_inputs] = v2_masked
+
+        # Double buffer: input rows are identical in both buffers and
+        # the loop rewrites every gate row, so one initial copy suffices.
+        prev = state
+        cur = state.copy()
+        for _step in range(max_steps):
+            for out_idx, gtype, fanin in self._ops:
+                cur[out_idx] = eval_gate_words(
+                    gtype, [prev[i] for i in fanin], mask
+                )
+            diff = prev[self.num_inputs :] ^ cur[self.num_inputs :]
+            changed = np.flatnonzero(diff.any(axis=1))
+            if changed.size == 0:
+                return planes, planes_used
+            planes_used = max(
+                planes_used,
+                accumulate_planes(
+                    planes, changed + self.num_inputs, diff[changed]
+                ),
             )
-            energy[lo:hi] = charge_planes(planes, caps, lanes, planes_used)
-        return energy
+            prev, cur = cur, prev
+        raise SimulationError(
+            "unit-delay simulation did not stabilize — invariant broken"
+        )
 
     # ------------------------------------------------------------------
     def output_values(

@@ -115,15 +115,6 @@ MAX_BATCH_ARITY = 8
 #: size, so partial-sum grouping is identical).
 _CHARGE_ROW_BLOCK = 128
 
-#: Lanes processed per unit-delay sub-block.  Chunking keeps the
-#: per-block transients (state copy, bit-plane counters) cache-sized
-#: while still amortizing per-step numpy call overhead over wide words;
-#: 4096 lanes is at or near the minimum of both kernels' cost curves on
-#: the deep suite circuits.  Lanes are independent, so chunking cannot
-#: change any toggle count; it only regroups the floating-point
-#: partial sums of the final charge (identically in both kernels).
-_UNIT_LANE_BLOCK = 4096
-
 _METRICS = get_registry()
 _TRACER = get_tracer()
 _SPANS = get_span_recorder()
@@ -148,9 +139,8 @@ def resolve_kernel(kernel: Optional[str] = None, probe: bool = False) -> str:
 
     With ``probe=True`` the choice is also resolved against what this
     process can actually run: ``"native"`` degrades to ``"compiled"``
-    when no accelerator backend (Numba or the ctypes C extension) is
-    available — logged once and counted in
-    ``sim_native_fallback_total`` — never an error.
+    when the ctypes C extension cannot be built or loaded — logged
+    once and counted in ``sim_native_fallback_total`` — never an error.
     """
     requested = kernel
     if kernel is None:
@@ -782,10 +772,8 @@ class CompiledPlan:
         :meth:`repro.sim.bitsim.BitParallelSimulator.steady_state`.
 
         An explicit per-word ``mask`` (ones in valid lane bits) replaces
-        the contiguous ``lane_mask(num_lanes, ...)`` — the batched
-        execution layer packs several jobs' lane segments into one word
-        array, so its valid-lane pattern is the concatenation of the
-        segments' masks rather than a single prefix.
+        ``lane_mask(num_lanes, ...)``; :meth:`unit_delay_planes` passes
+        the mask of its lane block.
         """
         input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
         if input_words.shape[0] != self.num_inputs:
@@ -835,45 +823,6 @@ class CompiledPlan:
         return popcount_rows(s1 ^ s2)
 
     # ------------------------------------------------------------------
-    def toggle_energy_unit_delay(
-        self,
-        v1_words: np.ndarray,
-        v2_words: np.ndarray,
-        num_lanes: int,
-        net_caps: np.ndarray,
-        max_steps: Optional[int] = None,
-    ) -> np.ndarray:
-        """Per-lane weighted toggle sum under unit delay (with glitches).
-
-        Synchronous relaxation with active-gate scheduling: only the
-        gates whose fanin changed in the previous step are re-evaluated
-        (selected row-wise from the circuit-wide step groups), and all
-        writes of a step are deferred until every active gate has read
-        the previous values.  Per-step toggles accumulate into packed
-        bit-plane counters (:func:`accumulate_planes` — no unpacking,
-        no float work in the loop); one final per-plane
-        ``caps @ bits`` matmul per lane block yields the energy.  The
-        per-step changed-net sets (and therefore the energies) are
-        exactly those of the full interpreted relaxation.
-        """
-        if max_steps is None:
-            max_steps = self.depth + 4
-        caps = np.asarray(net_caps, dtype=np.float64)
-        v1_words = np.ascontiguousarray(v1_words, dtype=np.uint64)
-        v2_words = np.ascontiguousarray(v2_words, dtype=np.uint64)
-        energy = np.empty(num_lanes, dtype=np.float64)
-        for lo in range(0, num_lanes, _UNIT_LANE_BLOCK):
-            hi = min(lo + _UNIT_LANE_BLOCK, num_lanes)
-            lanes = hi - lo
-            ws = slice(lo // 64, (hi + 63) // 64)
-            num_words = (hi + 63) // 64 - lo // 64
-            mask = lane_mask(lanes, num_words)
-            planes, planes_used = self.unit_delay_planes(
-                v1_words[:, ws], v2_words[:, ws], mask, max_steps
-            )
-            energy[lo:hi] = charge_planes(planes, caps, lanes, planes_used)
-        return energy
-
     def unit_delay_planes(
         self,
         v1_words: np.ndarray,
@@ -883,15 +832,21 @@ class CompiledPlan:
     ) -> Tuple[List[np.ndarray], int]:
         """Integer phase of one unit-delay block: the wavefront loop.
 
-        Runs the synchronous relaxation over the *whole* given word
-        array (the caller controls lane blocking) and returns the
-        packed bit-plane toggle counters plus the number of planes
-        touched — everything :func:`charge_planes` needs.  Splitting
-        the integer phase from the charge lets the batch layer run one
-        relaxation over many jobs' packed lane segments and still
-        charge each segment's word slice independently (bit-exact
-        per-lane counters make the fused counters identical to the
-        per-job ones).
+        Synchronous relaxation with active-gate scheduling: only the
+        gates whose fanin changed in the previous step are re-evaluated
+        (selected row-wise from the circuit-wide step groups), and all
+        writes of a step are deferred until every active gate has read
+        the previous values.  Per-step toggles accumulate into packed
+        bit-plane counters (:func:`accumulate_planes` — no unpacking,
+        no float work in the loop).  The per-step changed-net sets are
+        exactly those of the full interpreted relaxation.
+
+        Runs over the *whole* given word array and returns the counters
+        plus the number of planes touched — everything
+        :func:`charge_planes` needs.  The caller,
+        :meth:`repro.sim.bitsim.BitParallelSimulator.toggle_energy_unit_delay`,
+        splits the lanes into blocks and charges each one, the same way
+        for every tier.
         """
         if max_steps is None:
             max_steps = self.depth + 4

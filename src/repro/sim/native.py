@@ -6,10 +6,10 @@ circuits the loop still pays per-step Python/numpy dispatch dozens of
 times per lane block.  This module runs that loop — and only that loop —
 in native code, consuming the plan's flat arrays directly:
 
-* **Numba** (``@njit``) when importable, or
 * a tiny **C extension** compiled lazily at first use with the system C
   compiler and loaded through :mod:`ctypes` (the call releases the GIL,
-  so threaded batch executors overlap native work), or
+  so worker threads run native work in parallel; work buffers are
+  per thread), or
 * nothing — in which case callers degrade gracefully to the
   ``compiled`` tier (:func:`native_available` is the probe,
   :func:`record_fallback` the accounting hook).
@@ -23,9 +23,8 @@ helpers, so the float operations — and therefore the energies — are
 bit-for-bit those of the ``compiled`` tier.
 
 Backend choice is overridable via ``REPRO_NATIVE_BACKEND``
-(``auto``/``numba``/``cext``/``none``; ``none`` forces the fallback
-path, which the no-accelerator tests use) and the compiler via
-``REPRO_NATIVE_CC``.
+(``auto``/``cext``/``none``; ``none`` forces the fallback path, which
+the no-accelerator tests use) and the compiler via ``REPRO_NATIVE_CC``.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ _LOG = logging.getLogger("repro.sim.native")
 _METRICS = get_registry()
 _FALLBACK_TOTAL = _METRICS.counter("sim_native_fallback_total")
 
-_BACKENDS = ("auto", "numba", "cext", "none")
+_BACKENDS = ("auto", "cext", "none")
 
-# Opcodes shared by every backend.  Inverting gate types (NAND/NOR/
+# Opcodes of the C kernel.  Inverting gate types (NAND/NOR/
 # XNOR/NOT) carry a separate per-gate invert flag.
 _OP_AND = 0
 _OP_OR = 1
@@ -703,8 +702,8 @@ class _CExtBackend:
         # zero it on every (cheap, tiny) reuse.
         flags = _reusable("cext_flags", (max(1, num_gates),), np.uint8, True)
         cons_indptr, cons_gate = _consumer_csr(plan)
-        # ctypes releases the GIL for the call — threaded batch
-        # executors overlap native work across cores.
+        # ctypes releases the GIL for the call, so concurrent worker
+        # threads run native work in parallel.
         return int(
             self._fn(
                 tables.fan_indptr.ctypes.data,
@@ -744,245 +743,6 @@ def _consumer_csr(plan: CompiledPlan) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Numba backend
-# ----------------------------------------------------------------------
-
-
-def _build_numba():
-    import numba  # noqa: F401  (probe)
-    from numba import njit
-
-    @njit(cache=False, nogil=True)
-    def _settle(
-        fan_indptr,
-        fan_nets,
-        out_net,
-        op,
-        invert,
-        topo,
-        state,
-        mask,
-    ):
-        W = state.shape[1]
-        for t in range(topo.shape[0]):
-            g = topo[t]
-            lo = fan_indptr[g]
-            hi = fan_indptr[g + 1]
-            o = out_net[g]
-            if op[g] == 3:
-                s0 = fan_nets[lo]
-                s1 = fan_nets[lo + 1]
-                s2 = fan_nets[lo + 2]
-                for w in range(W):
-                    sel = state[s0, w]
-                    state[o, w] = (sel & state[s2, w]) | (
-                        (sel ^ mask[w]) & state[s1, w]
-                    )
-            else:
-                f0 = fan_nets[lo]
-                for w in range(W):
-                    state[o, w] = state[f0, w]
-                if op[g] == 0:
-                    for j in range(lo + 1, hi):
-                        fj = fan_nets[j]
-                        for w in range(W):
-                            state[o, w] &= state[fj, w]
-                elif op[g] == 1:
-                    for j in range(lo + 1, hi):
-                        fj = fan_nets[j]
-                        for w in range(W):
-                            state[o, w] |= state[fj, w]
-                else:
-                    for j in range(lo + 1, hi):
-                        fj = fan_nets[j]
-                        for w in range(W):
-                            state[o, w] ^= state[fj, w]
-            if invert[g] != 0:
-                for w in range(W):
-                    state[o, w] ^= mask[w]
-
-    @njit(cache=False, nogil=True)
-    def _kernel(
-        fan_indptr,
-        fan_nets,
-        out_net,
-        op,
-        invert,
-        cons_indptr,
-        cons_gate,
-        num_nets,
-        num_words,
-        max_steps,
-        num_planes,
-        state,
-        mask,
-        planes,
-        dirty,
-        n_dirty,
-        scratch,
-        active,
-        flags,
-    ):
-        W = num_words
-        used = 0
-        stabilized = False
-        for _step in range(max_steps):
-            if n_dirty == 0:
-                stabilized = True
-                break
-            n_active = 0
-            for i in range(n_dirty):
-                net = dirty[i]
-                for j in range(cons_indptr[net], cons_indptr[net + 1]):
-                    g = cons_gate[j]
-                    if flags[g] == 0:
-                        flags[g] = 1
-                        active[n_active] = g
-                        n_active += 1
-            for i in range(n_active):
-                flags[active[i]] = 0
-            if n_active == 0:
-                n_dirty = 0
-                continue
-            for i in range(n_active):
-                g = active[i]
-                lo = fan_indptr[g]
-                hi = fan_indptr[g + 1]
-                if op[g] == 3:
-                    s0 = fan_nets[lo]
-                    s1 = fan_nets[lo + 1]
-                    s2 = fan_nets[lo + 2]
-                    for w in range(W):
-                        sel = state[s0, w]
-                        scratch[i, w] = (sel & state[s2, w]) | (
-                            (sel ^ mask[w]) & state[s1, w]
-                        )
-                else:
-                    f0 = fan_nets[lo]
-                    for w in range(W):
-                        scratch[i, w] = state[f0, w]
-                    if op[g] == 0:
-                        for j in range(lo + 1, hi):
-                            fj = fan_nets[j]
-                            for w in range(W):
-                                scratch[i, w] &= state[fj, w]
-                    elif op[g] == 1:
-                        for j in range(lo + 1, hi):
-                            fj = fan_nets[j]
-                            for w in range(W):
-                                scratch[i, w] |= state[fj, w]
-                    else:
-                        for j in range(lo + 1, hi):
-                            fj = fan_nets[j]
-                            for w in range(W):
-                                scratch[i, w] ^= state[fj, w]
-                if invert[g] != 0:
-                    for w in range(W):
-                        scratch[i, w] ^= mask[w]
-            n_dirty = 0
-            for i in range(n_active):
-                o = out_net[active[i]]
-                changed = False
-                for w in range(W):
-                    d = state[o, w] ^ scratch[i, w]
-                    if d == 0:
-                        continue
-                    changed = True
-                    state[o, w] = scratch[i, w]
-                    k = 0
-                    while d != 0:
-                        if k >= num_planes:
-                            return -2
-                        carry = planes[o, k, w] & d
-                        planes[o, k, w] ^= d
-                        d = carry
-                        k += 1
-                    if k > used:
-                        used = k
-                if changed:
-                    dirty[n_dirty] = o
-                    n_dirty += 1
-        if not stabilized:
-            return -1
-        return used
-
-    return _settle, _kernel
-
-
-class _NumbaBackend:
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._settle, self._kernel = _build_numba()
-
-    def settle(
-        self,
-        plan: CompiledPlan,
-        tables: NativeTables,
-        state: np.ndarray,
-        mask: np.ndarray,
-    ) -> None:
-        self._settle(
-            tables.fan_indptr,
-            tables.fan_nets,
-            tables.out_net,
-            tables.op,
-            tables.invert,
-            tables.topo,
-            state,
-            mask,
-        )
-
-    def run(
-        self,
-        plan: CompiledPlan,
-        tables: NativeTables,
-        state: np.ndarray,
-        mask: np.ndarray,
-        planes3: np.ndarray,
-        dirty: np.ndarray,
-        n_dirty: int,
-        max_steps: int,
-        t0: int,
-        t1: int,
-    ) -> int:
-        num_gates = tables.out_net.shape[0]
-        num_words = t1 - t0
-        scratch = _reusable(
-            "numba_scratch", (max(1, num_gates), num_words), np.uint64, False
-        )
-        active = _reusable(
-            "numba_active", (max(1, num_gates),), np.int64, False
-        )
-        flags = _reusable("numba_flags", (max(1, num_gates),), np.uint8, True)
-        cons_indptr, cons_gate = _consumer_csr(plan)
-        # Strided views: numba consumes the word-tile slices directly.
-        return int(
-            self._kernel(
-                tables.fan_indptr,
-                tables.fan_nets,
-                tables.out_net,
-                tables.op,
-                tables.invert,
-                cons_indptr,
-                cons_gate,
-                plan.num_nets,
-                num_words,
-                max_steps,
-                planes3.shape[1],
-                state[:, t0:t1],
-                mask[t0:t1],
-                planes3[:, :, t0:t1],
-                dirty,
-                n_dirty,
-                scratch,
-                active,
-                flags,
-            )
-        )
-
-
-# ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
 
@@ -1001,12 +761,6 @@ def _probe_backend() -> Optional[object]:
         )
     if choice == "none":
         return None
-    if choice in ("auto", "numba"):
-        try:
-            return _NumbaBackend()
-        except Exception:
-            if choice == "numba":
-                return None
     try:
         return _CExtBackend()
     except Exception:
@@ -1037,7 +791,7 @@ def native_available() -> bool:
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"``/``"cext"`` when available, else ``None``."""
+    """``"cext"`` when available, else ``None``."""
     backend = load_backend()
     return None if backend is None else backend.name
 
@@ -1046,14 +800,12 @@ def charge_accelerator():
     """The C ``gtot`` accumulator when available, else ``None``.
 
     Used by :func:`repro.sim.compiled.charge_planes` to run the exact
-    integer part of the capacitance charge natively.  Only the cext
-    backend provides it; the numpy fallback computes the same exact
-    integer totals, so energies are bit-identical either way.
+    integer part of the capacitance charge natively.  The numpy
+    fallback computes the same exact integer totals, so energies are
+    bit-identical either way.
     """
     backend = load_backend()
-    if backend is None or not hasattr(backend, "charge_gtot"):
-        return None
-    return backend.charge_gtot
+    return None if backend is None else backend.charge_gtot
 
 
 def record_fallback() -> None:
@@ -1063,9 +815,9 @@ def record_fallback() -> None:
     if not _FALLBACK_LOGGED:
         _FALLBACK_LOGGED = True
         _LOG.warning(
-            "REPRO_SIM_KERNEL=native requested but no accelerator backend "
-            "is available (numba missing, no C compiler); falling back to "
-            "the compiled kernel"
+            "REPRO_SIM_KERNEL=native requested but the C kernel is "
+            "unavailable (no C compiler, or REPRO_NATIVE_BACKEND=none); "
+            "falling back to the compiled kernel"
         )
 
 

@@ -22,10 +22,7 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .batch import SimBatcher
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -95,12 +92,6 @@ class PowerAnalyzer:
         ``"compiled"`` when no backend is available) or ``"interp"``
         (the legacy per-gate interpreter, for A/B comparison).  ``None``
         defers to the ``REPRO_SIM_KERNEL`` environment variable.
-    batcher:
-        Optional :class:`~repro.sim.batch.SimBatcher` — unit-mode
-        population blocks are then routed through it so concurrent
-        jobs targeting the same circuit fuse into shared kernel
-        invocations.  Results are bit-identical either way; ``None``
-        (the default) calls the simulator directly.
     """
 
     def __init__(
@@ -111,7 +102,6 @@ class PowerAnalyzer:
         mode: str = "unit",
         delay_model: Optional[DelayModel] = None,
         kernel: Optional[str] = None,
-        batcher: Optional["SimBatcher"] = None,
     ):
         if mode not in SIM_MODES:
             raise SimulationError(f"mode must be one of {SIM_MODES}")
@@ -122,7 +112,6 @@ class PowerAnalyzer:
         self.frequency_hz = frequency_hz
         self.mode = mode
         self._bitsim = BitParallelSimulator(circuit, kernel=kernel)
-        self._batcher = batcher
         self._caps_ff = self.library.all_net_capacitances(circuit)
         self._net_caps_f = np.array(
             [self._caps_ff[n] * _FF_TO_F for n in self._bitsim.net_order],
@@ -247,10 +236,6 @@ class PowerAnalyzer:
             if self.mode == "zero":
                 energy_caps = self._bitsim.toggle_energy_zero_delay(
                     w1, w2, lanes, self._net_caps_f
-                )
-            elif self._batcher is not None:
-                energy_caps = self._batcher.toggle_energy_unit_delay(
-                    self._bitsim, w1, w2, lanes, self._net_caps_f
                 )
             else:
                 energy_caps = self._bitsim.toggle_energy_unit_delay(

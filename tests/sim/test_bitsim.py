@@ -14,6 +14,7 @@ from repro.sim.bitsim import (
 )
 from repro.sim.delay import UnitDelay
 from repro.sim.event_sim import EventDrivenSimulator
+from repro.sim.native import native_available
 
 
 class TestPacking:
@@ -168,4 +169,37 @@ class TestToggleAccounting:
         esim = EventDrivenSimulator(rca, UnitDelay())
         assert energy[0] == pytest.approx(
             esim.simulate_pair(base, bump).total_toggles()
+        )
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            "interp",
+            "compiled",
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    not native_available(), reason="no native backend"
+                ),
+            ),
+        ],
+    )
+    def test_unit_delay_unstable_raises_then_recovers(self, kernel):
+        # One relaxation step cannot settle c880 (depth >> 1): the
+        # invariant guard must raise, and the simulator (and the native
+        # tier's per-thread buffers) must serve the next call unharmed.
+        circuit = build_circuit("c880")
+        sim = BitParallelSimulator(circuit, kernel=kernel)
+        rng = np.random.default_rng(14)
+        v1 = rng.integers(0, 2, size=(10, circuit.num_inputs), dtype=np.uint8)
+        v2 = rng.integers(0, 2, size=(10, circuit.num_inputs), dtype=np.uint8)
+        w1, lanes = pack_vectors(v1)
+        w2, _ = pack_vectors(v2)
+        caps = np.ones(sim.num_nets)
+        with pytest.raises(SimulationError, match="did not stabilize"):
+            sim.toggle_energy_unit_delay(w1, w2, lanes, caps, max_steps=1)
+        reference = BitParallelSimulator(circuit, kernel="compiled")
+        assert np.array_equal(
+            sim.toggle_energy_unit_delay(w1, w2, lanes, caps),
+            reference.toggle_energy_unit_delay(w1, w2, lanes, caps),
         )

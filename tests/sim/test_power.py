@@ -1,11 +1,24 @@
 """Power analyzer: unit conversions, mode consistency, validation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.netlist.generators import build_circuit
 from repro.netlist.library import default_library
+from repro.sim.native import native_available
 from repro.sim.power import PowerAnalyzer
+
+requires_native = pytest.mark.skipif(
+    not native_available(), reason="no native backend (no C compiler)"
+)
+
+# Lane counts straddling the word (64) and lane-block (4096) boundaries,
+# plus the single pair.
+THREAD_JOB_SIZES = (513, 100, 4096, 1, 64, 5000, 63, 4097)
 
 
 class TestConfiguration:
@@ -134,3 +147,65 @@ class TestPopulationPowers:
         powers = pa.powers_for_pairs(v1, v2)
         assert (powers <= pa.max_possible_power_w() + 1e-12).all()
         assert (powers >= 0).all()
+
+
+class TestConcurrentPowers:
+    @pytest.mark.parametrize(
+        "kernel, circuit_name",
+        [
+            ("compiled", "c880"),
+            pytest.param("native", "c1908", marks=requires_native),
+        ],
+    )
+    def test_threads_sharing_a_plan_match_serial(self, kernel, circuit_name):
+        """Eight threads run unit-delay ``powers_for_pairs`` at once on
+        analyzers of one circuit, so they share its cached plan (and the
+        native tier's calls overlap, each on its own per-thread
+        buffers).  Every result must equal the serial compiled run bit
+        for bit."""
+        circuit = build_circuit(circuit_name)
+        rng = np.random.default_rng(7)
+        jobs = [
+            tuple(
+                rng.integers(0, 2, size=(n, circuit.num_inputs), dtype=np.uint8)
+                for _ in range(2)
+            )
+            for n in THREAD_JOB_SIZES
+        ]
+        serial = PowerAnalyzer(circuit, mode="unit", kernel="compiled")
+        expected = [serial.powers_for_pairs(v1, v2) for v1, v2 in jobs]
+
+        analyzers = [
+            PowerAnalyzer(circuit, mode="unit", kernel=kernel) for _ in jobs
+        ]
+        assert {a._bitsim.kernel for a in analyzers} == {kernel}
+        assert len({id(a._bitsim._plan) for a in analyzers}) == 1
+        results = [None] * len(jobs)
+        errors = []
+        barrier = threading.Barrier(len(jobs))
+
+        def run(i):
+            try:
+                barrier.wait(timeout=60)
+                results[i] = analyzers[i].powers_for_pairs(*jobs[i])
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(len(jobs))
+        ]
+        # Switch threads often, so the Python parts of the calls
+        # interleave as much as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        for n, exp, got in zip(THREAD_JOB_SIZES, expected, results):
+            assert np.array_equal(exp, got), f"job with {n} pairs"
