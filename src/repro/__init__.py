@@ -116,7 +116,7 @@ from .api import (
 )
 from .schemas import SCHEMA_VERSION
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 # The service layer (HTTP server/client) is exported lazily: importing
 # ``repro`` must stay cheap, and most sessions never touch the service.

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
@@ -40,20 +39,6 @@ from ..schemas import (
 from ..schemas import CHECKPOINT_SCHEMA as _CHECKPOINT_SCHEMA
 
 __all__ = ["CheckpointWriter", "open_checkpoint"]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: CHECKPOINT_SCHEMA moved to repro.schemas.
-    if name == "CHECKPOINT_SCHEMA":
-        warnings.warn(
-            "repro.estimation.checkpoint.CHECKPOINT_SCHEMA moved to "
-            "repro.schemas.CHECKPOINT_SCHEMA; the old import path will "
-            "be removed in a future major release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _CHECKPOINT_SCHEMA
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CheckpointWriter:

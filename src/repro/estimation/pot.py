@@ -17,14 +17,11 @@ The estimator follows the same config pattern as
 :class:`~repro.estimation.mc_estimator.MaxPowerEstimator`: build it
 from an :class:`~repro.api.EstimatorConfig` with :meth:`from_config`
 (``method="pot"``), or directly with the iteration bounds named
-``min_hyper_samples``/``max_hyper_samples``.  The pre-redesign
-``min_rounds``/``max_rounds`` keyword names still work behind a
-:class:`DeprecationWarning`.
+``min_hyper_samples``/``max_hyper_samples``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -43,10 +40,6 @@ __all__ = ["DEFAULT_POT_THRESHOLD_QUANTILE", "PeaksOverThresholdEstimator"]
 #: what ``method="auto"`` uses when the config names no POT policy.
 DEFAULT_POT_THRESHOLD_QUANTILE = 0.90
 
-#: Sentinel distinguishing "not passed" from an explicit value, so the
-#: deprecated alias kwargs can be detected without shadowing real ones.
-_UNSET = object()
-
 
 class PeaksOverThresholdEstimator:
     """GPD/POT endpoint estimator with the paper-style stopping rule.
@@ -64,8 +57,7 @@ class PeaksOverThresholdEstimator:
         Convergence target, as in the paper.
     min_hyper_samples, max_hyper_samples:
         Iteration bounds (a POT round is this estimator's
-        hyper-sample); formerly ``min_rounds``/``max_rounds``, which
-        still work behind a :class:`DeprecationWarning`.
+        hyper-sample).
     finite_correction:
         Report the (1 − 1/|V|) quantile instead of the raw endpoint for
         finite populations (as §3.4 does for the Weibull route).
@@ -81,31 +73,7 @@ class PeaksOverThresholdEstimator:
         min_hyper_samples: int = 2,
         max_hyper_samples: int = 200,
         finite_correction: Optional[bool] = None,
-        min_rounds=_UNSET,
-        max_rounds=_UNSET,
     ):
-        if min_rounds is not _UNSET or max_rounds is not _UNSET:
-            warnings.warn(
-                "PeaksOverThresholdEstimator(min_rounds=, max_rounds=) "
-                "is deprecated; use min_hyper_samples=/max_hyper_samples= "
-                "(the EstimatorConfig field names)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if min_rounds is not _UNSET:
-                if min_hyper_samples != 2:
-                    raise ConfigError(
-                        "pass min_hyper_samples or the deprecated "
-                        "min_rounds, not both"
-                    )
-                min_hyper_samples = min_rounds
-            if max_rounds is not _UNSET:
-                if max_hyper_samples != 200:
-                    raise ConfigError(
-                        "pass max_hyper_samples or the deprecated "
-                        "max_rounds, not both"
-                    )
-                max_hyper_samples = max_rounds
         if batch_size < 20:
             raise ConfigError("batch_size must be >= 20")
         if not 0.5 <= threshold_quantile < 1.0:
@@ -115,9 +83,9 @@ class PeaksOverThresholdEstimator:
         if not 0.0 < confidence < 1.0:
             raise ConfigError("confidence must be in (0, 1)")
         if min_hyper_samples < 2:
-            raise ConfigError("min_rounds must be >= 2")
+            raise ConfigError("min_hyper_samples must be >= 2")
         if max_hyper_samples < min_hyper_samples:
-            raise ConfigError("max_rounds < min_rounds")
+            raise ConfigError("max_hyper_samples < min_hyper_samples")
         self.population = population
         self.batch_size = batch_size
         self.threshold_quantile = threshold_quantile
@@ -132,28 +100,6 @@ class PeaksOverThresholdEstimator:
                 "finite_correction requires a population with known size"
             )
         self.finite_correction = finite_correction
-
-    @property
-    def min_rounds(self) -> int:
-        """Deprecated alias of :attr:`min_hyper_samples`."""
-        warnings.warn(
-            "PeaksOverThresholdEstimator.min_rounds is deprecated; use "
-            "min_hyper_samples",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.min_hyper_samples
-
-    @property
-    def max_rounds(self) -> int:
-        """Deprecated alias of :attr:`max_hyper_samples`."""
-        warnings.warn(
-            "PeaksOverThresholdEstimator.max_rounds is deprecated; use "
-            "max_hyper_samples",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.max_hyper_samples
 
     @classmethod
     def from_config(

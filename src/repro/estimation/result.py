@@ -14,7 +14,6 @@ delegate to it.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -25,22 +24,6 @@ from ..evt.confidence import MeanInterval
 from ..evt.mle import WeibullFit
 
 __all__ = ["AdaptiveDecision", "HyperSample", "EstimationResult"]
-
-
-def __getattr__(name: str):
-    # Deprecation shim: RESULT_SCHEMA moved to repro.schemas.
-    if name == "RESULT_SCHEMA":
-        from ..schemas import RESULT_SCHEMA
-
-        warnings.warn(
-            "repro.estimation.result.RESULT_SCHEMA moved to "
-            "repro.schemas.RESULT_SCHEMA; the old import path will be "
-            "removed in a future major release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RESULT_SCHEMA
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

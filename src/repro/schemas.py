@@ -84,7 +84,8 @@ RESULT_SCHEMA = "repro.estimation_result/v1"
 #: :mod:`repro.estimation.checkpoint`).
 CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
 
-#: Type tag of the job server's persistent job-log header.
+#: Type tag of the legacy ``jobs.jsonl`` job-log header (read once when
+#: the SQLite store imports the log).
 SERVICE_LOG_SCHEMA = "repro.service_jobs/v1"
 
 #: Type tag of the job server's SQLite store (``meta`` table).

@@ -10,10 +10,12 @@ restarted (jobs checkpoint through the fault-tolerant JSONL layer of
 
 Zero dependencies beyond the standard library: the server is a
 ``http.server.ThreadingHTTPServer``, the client is ``urllib``, and the
-durable job/result store is WAL-mode ``sqlite3``
+one durable job/result store is WAL-mode ``sqlite3``
 (:class:`~repro.service.store.SQLiteJobStore`) with content-keyed
 result memoization — resubmitting an identical ``(circuit, config,
 seed, ...)`` spec is served from the stored result without re-running.
+A ``jobs.jsonl`` event log left by an older server is imported into it
+once at startup.
 
 Server side::
 
@@ -31,7 +33,7 @@ See ``docs/api.md`` for the endpoint table and payload schemas.
 """
 
 from .client import Client
-from .jobs import Job, JobSpec, JobState, JobStore
+from .jobs import Job, JobSpec, JobState
 from .server import JobServer, serve
 from .store import SQLiteJobStore
 from .worker import WorkerPool
@@ -41,7 +43,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "JobState",
-    "JobStore",
     "SQLiteJobStore",
     "JobServer",
     "WorkerPool",

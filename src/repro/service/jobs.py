@@ -1,63 +1,29 @@
-"""Job model and durable job store for the estimation service.
+"""Job model for the estimation service.
 
 A job is one estimation request: a circuit/population description plus
 an :class:`~repro.api.EstimatorConfig`, repeated ``num_runs`` times.
-The :class:`JobStore` keeps every job in memory for serving and appends
-every lifecycle event to ``<state_dir>/jobs.jsonl`` — an append-only,
-crash-tolerant log replayed on startup, so a restarted server still
-knows every submitted job, serves completed results, and re-queues jobs
-that were queued or mid-flight when the process died.  In-flight
-multi-run jobs additionally checkpoint per-run results through
-:mod:`repro.estimation.checkpoint` (one ``<job id>.runs.jsonl`` per
-job), so a resume never recomputes completed runs.
-
-Log layout (one JSON object per line)::
-
-    {"schema": "repro.service_jobs/v1", "schema_version": "1.0"}  # header
-    {"event": "submitted", "id": "job-000001-3f2a", "t": ..., "spec": {...}}
-    {"event": "state", "id": "...", "state": "running", "t": ...}
-    {"event": "result", "id": "...", "results": [{...}, ...]}
-    {"event": "cancel_requested", "id": "...", "t": ...}
-
-Replay is tolerant exactly like the checkpoint loader: a process killed
-mid-append truncates at most the final line, which is skipped; reopening
-for append first repairs a missing trailing newline so the next event
-can never splice onto a torn one.  A replayed ``result`` event is
-terminal — a job whose results made it to disk is ``completed`` even if
-the process died before the trailing ``state`` event — and the id
-counter is derived from every id seen in the log (including jobs whose
-spec no longer loads), so fresh ids never collide with logged ones.
-
-This JSONL store is the legacy backend: new servers run on the
-SQLite-backed :class:`~repro.service.store.SQLiteJobStore`, which
-migrates an existing ``jobs.jsonl`` through :func:`replay_log` on
-startup.
+:class:`JobSpec` is the immutable request, :class:`Job` its mutable
+lifecycle record (:class:`JobState`), and :class:`JobLease` one claim
+attempt's identity.  Persistence lives in
+:class:`~repro.service.store.SQLiteJobStore`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
-import time
-import uuid
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional
 
 from ..api import EstimatorConfig
 from ..errors import ConfigError
 from ..schemas import (
     SCHEMA_VERSION,
-    SERVICE_LOG_SCHEMA,
-    check_schema_version,
     dump_estimation_result,
     dump_job_spec,
-    load_estimation_result,
     load_job_spec,
 )
 
-__all__ = ["JobState", "JobSpec", "Job", "JobLease", "JobStore", "replay_log"]
+__all__ = ["JobState", "JobSpec", "Job", "JobLease"]
 
 
 class JobState:
@@ -146,9 +112,9 @@ class JobSpec:
 class Job:
     """One submitted job: spec plus mutable lifecycle state.
 
-    Mutated only under the owning :class:`JobStore`'s lock (workers go
-    through the store's ``mark_*`` methods); ``cancel_event`` is the
-    cooperative cancellation signal the worker's progress hooks check.
+    Mutated only under the owning store's lock (workers go through the
+    store's ``mark_*`` methods); ``cancel_event`` is the cooperative
+    cancellation signal the worker's progress hooks check.
     """
 
     def __init__(self, job_id: str, spec: JobSpec, created_at: float):
@@ -168,7 +134,7 @@ class Job:
         #: Completed-run count (multi-run jobs).
         self.completed_runs = 0
         #: True when the job was settled from a memoized result of an
-        #: earlier identical spec instead of running (SQLite store).
+        #: earlier identical spec instead of running.
         self.memo_hit = False
         #: Worker thread that claimed the job.
         self.lease_owner: Optional[str] = None
@@ -248,384 +214,3 @@ class Job:
             "num_runs": self.spec.num_runs,
             "results": [dump_estimation_result(r) for r in self.results],
         }
-
-
-class JobStore:
-    """Thread-safe job registry + FIFO queue + append-only event log."""
-
-    def __init__(self, state_dir: Union[str, Path]):
-        self.state_dir = Path(state_dir)
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.log_path = self.state_dir / "jobs.jsonl"
-        self._lock = threading.RLock()
-        self._queue_ready = threading.Condition(self._lock)
-        self._jobs: Dict[str, Job] = {}
-        self._queue: List[str] = []  # FIFO of queued job ids
-        self._counter = 0
-        self._requeued: List[str] = []
-        self._spans: Dict[str, List[dict]] = {}
-        self._replay()
-        self._handle = self._open_log()
-
-    # -- log plumbing ---------------------------------------------------
-    def _open_log(self):
-        new = not self.log_path.exists() or self.log_path.stat().st_size == 0
-        if not new:
-            # Repair a torn tail: if a previous process died mid-append,
-            # the next event must start on its own line.
-            with open(self.log_path, "rb") as probe:
-                probe.seek(-1, os.SEEK_END)
-                torn = probe.read(1) != b"\n"
-            if torn:
-                with open(self.log_path, "a", encoding="utf-8") as fix:
-                    fix.write("\n")
-        handle = open(self.log_path, "a", encoding="utf-8")
-        if new:
-            header = {"schema": SERVICE_LOG_SCHEMA, "schema_version": SCHEMA_VERSION}
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            handle.flush()
-        return handle
-
-    def _append(self, event: dict) -> None:
-        self._handle.write(json.dumps(event) + "\n")
-        self._handle.flush()
-
-    def _replay(self) -> None:
-        """Rebuild jobs from the event log; requeue unfinished ones."""
-        jobs, self._counter = replay_log(self.log_path)
-        self._jobs.update(jobs)
-        for job in jobs.values():
-            if job.terminal:
-                continue
-            job.state = JobState.QUEUED
-            job.started_at = None
-            self._queue.append(job.id)
-            self._requeued.append(job.id)
-        self._queue.sort(key=lambda jid: self._jobs[jid].created_at)
-
-    @property
-    def requeued_ids(self) -> List[str]:
-        """Jobs re-queued by startup replay (restart-resume diagnostics)."""
-        return list(self._requeued)
-
-    # -- job lifecycle --------------------------------------------------
-    def submit(self, spec: JobSpec, tenant: Optional[str] = None) -> Job:
-        from ..obs.spans import get_span_recorder, new_trace_id
-
-        with self._lock:
-            self._counter += 1
-            job_id = f"job-{self._counter:06d}-{uuid.uuid4().hex[:4]}"
-            job = Job(job_id, spec, time.time())
-            job.tenant = tenant
-            spans = get_span_recorder()
-            if spans.enabled:
-                context = spans.current_context()
-                job.trace_id = context.trace_id if context else new_trace_id()
-                job.parent_span_id = context.span_id if context else None
-            self._jobs[job_id] = job
-            self._queue.append(job_id)
-            event = {
-                "event": "submitted",
-                "id": job_id,
-                "t": job.created_at,
-                "spec": dump_job_spec(spec),
-            }
-            if tenant is not None:
-                event["tenant"] = tenant
-            self._append(event)
-            self._queue_ready.notify()
-            return job
-
-    def get(self, job_id: str) -> Optional[Job]:
-        with self._lock:
-            return self._jobs.get(job_id)
-
-    def list(self, state: Optional[str] = None) -> List[Job]:
-        with self._lock:
-            jobs = sorted(self._jobs.values(), key=lambda j: j.created_at)
-        if state is not None:
-            jobs = [j for j in jobs if j.state == state]
-        return jobs
-
-    def counts(self) -> Dict[str, int]:
-        """Jobs per state — all states present, zeros included (the
-        ``/metrics`` gauges must exist before the first job arrives)."""
-        counts = {state: 0 for state in JobState.ALL}
-        with self._lock:
-            for job in self._jobs.values():
-                # .get: a corrupt log can replay an unknown state string;
-                # it must surface as its own count, not a KeyError.
-                counts[job.state] = counts.get(job.state, 0) + 1
-        return counts
-
-    def claim_next(
-        self, timeout: float = 0.5, owner: Optional[str] = None
-    ) -> Optional[Job]:
-        """Pop the oldest queued job and mark it running (worker entry).
-
-        Blocks up to ``timeout`` seconds for work; returns ``None`` on
-        timeout so worker threads can poll their shutdown flag.  Jobs
-        cancelled while still queued are acknowledged and skipped, not
-        allowed to idle the worker slot for a poll interval.
-        """
-        with self._lock:
-            if not self._queue:
-                self._queue_ready.wait(timeout)
-            while self._queue:
-                job = self._jobs[self._queue.pop(0)]
-                if job.cancel_event.is_set():
-                    # Cancelled while still queued: acknowledge, move on.
-                    self._mark_locked(job, JobState.CANCELLED)
-                    continue
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                job.lease_owner = owner
-                job.lease = JobLease(uuid.uuid4().hex, owner)
-                self._append(
-                    {
-                        "event": "state",
-                        "id": job.id,
-                        "state": JobState.RUNNING,
-                        "t": job.started_at,
-                    }
-                )
-                return job
-            return None
-
-    def _mark_locked(self, job: Job, state: str, error: Optional[str] = None) -> None:
-        job.state = state
-        job.finished_at = time.time()
-        job.error = error
-        event = {"event": "state", "id": job.id, "state": state, "t": job.finished_at}
-        if error is not None:
-            event["error"] = error
-        self._append(event)
-
-    def mark_completed(
-        self, job: Job, results: List[object], lease: Optional[JobLease] = None
-    ) -> None:
-        # Two appends, but no tearing hazard: replay treats the result
-        # event itself as terminal, so a crash between them cannot
-        # requeue (and re-run) the finished job.  ``lease`` exists for
-        # interface parity with SQLiteJobStore; this single-process
-        # backend never expires leases, so there is nothing to CAS on.
-        with self._lock:
-            job.results = list(results)
-            job.completed_runs = len(job.results)
-            self._append(
-                {
-                    "event": "result",
-                    "id": job.id,
-                    "results": [dump_estimation_result(r) for r in job.results],
-                }
-            )
-            self._mark_locked(job, JobState.COMPLETED)
-
-    def mark_failed(
-        self, job: Job, error: str, lease: Optional[JobLease] = None
-    ) -> None:
-        with self._lock:
-            self._mark_locked(job, JobState.FAILED, error=error)
-
-    def mark_cancelled(self, job: Job, lease: Optional[JobLease] = None) -> None:
-        with self._lock:
-            self._mark_locked(job, JobState.CANCELLED)
-
-    def request_cancel(self, job_id: str) -> Job:
-        """Flag a job for cancellation (raises ``KeyError`` if unknown,
-        :class:`~repro.errors.ConfigError` if already terminal)."""
-        with self._lock:
-            job = self._jobs[job_id]
-            if job.terminal:
-                raise ConfigError(
-                    f"job {job_id} is already {job.state}; nothing to cancel"
-                )
-            job.cancel_event.set()
-            self._append(
-                {"event": "cancel_requested", "id": job_id, "t": time.time()}
-            )
-            if job.state == JobState.QUEUED:
-                # Not yet claimed by any worker: settle it immediately.
-                self._queue = [jid for jid in self._queue if jid != job_id]
-                self._mark_locked(job, JobState.CANCELLED)
-            return job
-
-    def run_checkpoint_path(self, job_id: str) -> Path:
-        """Per-run JSONL checkpoint for a multi-run job (resume unit)."""
-        return self.state_dir / f"{job_id}.runs.jsonl"
-
-    # -- span persistence (interface parity with SQLiteJobStore; this
-    # -- legacy backend keeps spans in memory only) ----------------------
-    def save_spans(self, job_id: str, spans: List[dict]) -> None:
-        with self._lock:
-            self._spans[job_id] = list(spans)
-
-    def stored_spans(self, job_id: str) -> List[dict]:
-        with self._lock:
-            return list(self._spans.get(job_id, ()))
-
-    # -- telemetry introspection ------------------------------------------
-    @property
-    def backend(self) -> str:
-        return "jsonl"
-
-    def lease_info(self) -> Dict[str, object]:
-        """Active-lease telemetry for ``/healthz`` and the gauges.
-
-        Ages are clamped to >= 0: ``started_at`` is wall clock, so a
-        backwards clock step must never surface a negative age in
-        ``/healthz`` or the ``service_oldest_lease_age_seconds`` gauge.
-        """
-        now = time.time()
-        with self._lock:
-            ages = [
-                max(0.0, now - job.started_at)
-                for job in self._jobs.values()
-                if job.state == JobState.RUNNING and job.started_at is not None
-            ]
-        return {
-            "active_leases": len(ages),
-            "oldest_lease_age_seconds": max(ages) if ages else 0.0,
-        }
-
-    # -- lease lifecycle (interface parity with SQLiteJobStore; this
-    # -- single-process backend has no replicas, so leases never expire
-    # -- and renewal always succeeds) ------------------------------------
-    #: No lease expiry on this backend (one process owns the queue).
-    lease_ttl: Optional[float] = None
-    heartbeat_interval: Optional[float] = None
-    replica_id: Optional[str] = None
-
-    def renew_lease(self, job: Job, lease: Optional[JobLease] = None) -> bool:
-        return True
-
-    def reap_expired(self) -> List[str]:
-        return []
-
-    def queue_depth(self) -> int:
-        """Jobs currently queued (the admission-control signal)."""
-        with self._lock:
-            return len(self._queue)
-
-    def tenant_active_jobs(self, tenant: Optional[str]) -> int:
-        """Non-terminal jobs submitted by ``tenant`` (quota signal)."""
-        with self._lock:
-            return sum(
-                1
-                for job in self._jobs.values()
-                if job.tenant == tenant and not job.terminal
-            )
-
-    def memo_stats(self) -> Dict[str, object]:
-        """Memo effectiveness (always zero hits — this backend does not
-        memoize)."""
-        with self._lock:
-            total = len(self._jobs)
-            hits = sum(1 for job in self._jobs.values() if job.memo_hit)
-        return {
-            "hits": hits,
-            "jobs": total,
-            "ratio": (hits / total) if total else 0.0,
-        }
-
-    def wake_all(self) -> None:
-        """Wake every worker blocked in :meth:`claim_next` (shutdown)."""
-        with self._lock:
-            self._queue_ready.notify_all()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
-
-
-def _numbered(job_id: str) -> bool:
-    parts = job_id.split("-")
-    return len(parts) >= 2 and parts[1].isdigit()
-
-
-def replay_log(log_path: Union[str, Path]) -> Tuple[Dict[str, Job], int]:
-    """Parse a ``jobs.jsonl`` event log into settled :class:`Job` objects.
-
-    Returns ``(jobs, counter)`` where ``counter`` is the highest numeric
-    id component seen in *any* event — including jobs dropped because
-    their spec no longer loads — so ids minted after a replay can never
-    collide with ids already in the log.
-
-    Settling rules (shared by :class:`JobStore` replay and the SQLite
-    migration):
-
-    * A ``result`` event is terminal: its job is ``completed`` with
-      ``completed_runs == len(results)`` even if the process died before
-      appending the trailing ``state`` event.
-    * A non-terminal job with a pending ``cancel_requested`` is finished
-      off as ``cancelled`` rather than re-run.
-    * Every other non-terminal job is left in its logged state for the
-      caller to requeue.
-    """
-    log_path = Path(log_path)
-    jobs: Dict[str, Job] = {}
-    counter = 0
-    if not log_path.exists():
-        return jobs, counter
-    with open(log_path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a mid-append kill
-            if not isinstance(event, dict):
-                continue
-            if line_no == 0 and event.get("schema") == SERVICE_LOG_SCHEMA:
-                check_schema_version(event, f"service log {log_path}")
-                continue
-            kind = event.get("event")
-            job_id = event.get("id")
-            if isinstance(job_id, str) and _numbered(job_id):
-                counter = max(counter, int(job_id.split("-")[1]))
-            if kind == "submitted" and job_id:
-                try:
-                    spec = load_job_spec(event["spec"])
-                except Exception:
-                    continue  # unreadable spec: drop the job, keep the log
-                jobs[job_id] = Job(job_id, spec, float(event.get("t", 0.0)))
-                jobs[job_id].tenant = event.get("tenant")
-            elif kind == "state" and job_id in jobs:
-                job = jobs[job_id]
-                job.state = event.get("state", job.state)
-                if job.state == JobState.RUNNING:
-                    job.started_at = float(event.get("t", 0.0))
-                else:
-                    job.finished_at = float(event.get("t", 0.0))
-                if job.state == JobState.FAILED:
-                    job.error = event.get("error")
-            elif kind == "result" and job_id in jobs:
-                job = jobs[job_id]
-                job.results = [
-                    load_estimation_result(r) for r in event.get("results", [])
-                ]
-                # The results made it to disk: the work is done, whether
-                # or not the 'completed' state event was ever appended.
-                job.state = JobState.COMPLETED
-                job.completed_runs = len(job.results)
-            elif kind == "cancel_requested" and job_id in jobs:
-                jobs[job_id].cancel_event.set()
-    for job in jobs.values():
-        if job.state == JobState.COMPLETED and job.results is not None:
-            job.completed_runs = len(job.results)
-        if job.terminal:
-            job.finished_at = job.finished_at or job.created_at
-            continue
-        if job.results is not None:
-            # Legacy logs written before result events were terminal can
-            # end with results but a stale non-terminal state.
-            job.state = JobState.COMPLETED
-            job.completed_runs = len(job.results)
-            job.finished_at = job.finished_at or job.created_at
-        elif job.cancel_event.is_set():
-            job.state = JobState.CANCELLED
-            job.finished_at = job.finished_at or job.created_at
-    return jobs, counter

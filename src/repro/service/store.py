@@ -1,9 +1,7 @@
-"""SQLite-backed durable job + result store (the service's default).
+"""SQLite-backed durable job + result store (the service's only store).
 
-Replaces the append-only ``jobs.jsonl`` event log with a WAL-mode
-SQLite database (stdlib :mod:`sqlite3`) behind the exact
-:class:`~repro.service.jobs.JobStore` interface, fixing the failure
-modes an event log can only paper over:
+A WAL-mode SQLite database (stdlib :mod:`sqlite3`) holds every job, its
+results and its spans:
 
 * **No event tearing.**  Every lifecycle transition — including
   "results arrived *and* the job is completed" — is one transaction, so
@@ -40,12 +38,12 @@ modes an event log can only paper over:
   with those results, without ever touching the worker pool; each such
   settle increments the ``service_memo_hits`` counter.  ``memo=False``
   (CLI ``--no-memo``) disables the lookup, never the fingerprinting.
-* **One-shot migration.**  Opening a state directory that still holds a
-  legacy ``jobs.jsonl`` replays it through
-  :func:`~repro.service.jobs.replay_log` (torn tails skipped, result
-  events terminal, dropped ids counted), imports every job and result
-  into the database, and renames the log to ``jobs.jsonl.migrated`` so
-  it is never replayed twice.
+* **One-shot migration.**  A ``jobs.jsonl`` event log left in the
+  state directory by an older server is read once through
+  :func:`_replay_legacy_log` (torn tails skipped, result events
+  terminal, dropped ids counted); every job and result is imported into
+  the database, and the log is renamed to ``jobs.jsonl.migrated`` so it
+  is never read twice.
 
 Schema (``jobs.db``)::
 
@@ -79,7 +77,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..obs.metrics import get_registry
@@ -87,6 +85,7 @@ from ..obs.spans import get_span_recorder, new_trace_id
 from ..schemas import (
     SCHEMA_VERSION,
     SERVICE_DB_SCHEMA,
+    SERVICE_LOG_SCHEMA,
     SERVICE_TRACE_SCHEMA,
     check_schema_version,
     dump_estimation_result,
@@ -95,7 +94,7 @@ from ..schemas import (
     load_estimation_result,
     load_job_spec,
 )
-from .jobs import Job, JobLease, JobSpec, JobState, replay_log
+from .jobs import Job, JobLease, JobSpec, JobState
 
 __all__ = ["SQLiteJobStore"]
 
@@ -155,14 +154,110 @@ _JOBS_COLUMN_MIGRATIONS = (
 DEFAULT_LEASE_TTL = 30.0
 
 
-class SQLiteJobStore:
-    """Thread-safe, durable job registry on SQLite (WAL mode).
+def _id_number(job_id: str) -> Optional[int]:
+    """The numeric component of a ``job-000042-3f2a`` id (``None`` for
+    ids minted some other way)."""
+    parts = job_id.split("-")
+    return int(parts[1]) if len(parts) > 1 and parts[1].isdigit() else None
 
-    Drop-in for :class:`~repro.service.jobs.JobStore`: same constructor
-    shape, same lifecycle methods, same in-memory :class:`Job` objects
-    (``cancel_event`` and the live ``trajectory`` are process-local by
-    nature).  The database is the source of truth for everything
-    durable.
+
+def _replay_legacy_log(log_path: Path) -> Tuple[Dict[str, Job], int]:
+    """Parse a legacy ``jobs.jsonl`` event log into settled jobs.
+
+    Log layout (one JSON object per line; the header is optional)::
+
+        {"schema": "repro.service_jobs/v1", "schema_version": "1.0"}
+        {"event": "submitted", "id": "job-000001-3f2a", "t": ...,
+         "spec": {...}, "tenant": "..."}
+        {"event": "state", "id": "...", "state": "running", "t": ...}
+        {"event": "state", "id": "...", "state": "failed", "t": ...,
+         "error": "..."}
+        {"event": "result", "id": "...", "results": [{...}, ...]}
+        {"event": "cancel_requested", "id": "...", "t": ...}
+
+    Returns ``(jobs, counter)`` where ``counter`` is the highest numeric
+    id component seen in *any* event — including jobs dropped because
+    their spec no longer loads — so ids minted after the import can
+    never collide with ids already in the log.  Settling rules:
+
+    * A line that does not parse (the torn tail of a process killed
+      mid-append) is skipped.
+    * A ``result`` event is terminal: its job is ``completed`` with
+      ``completed_runs == len(results)`` even if the process died before
+      appending the trailing ``state`` event.
+    * A non-terminal job with a pending ``cancel_requested`` is finished
+      off as ``cancelled`` rather than re-run.
+    * Every other non-terminal job keeps its logged state; the store's
+      startup recovery requeues it.
+    """
+    jobs: Dict[str, Job] = {}
+    counter = 0
+    with open(log_path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn tail from a mid-append kill
+            if not isinstance(event, dict):
+                continue
+            if line_no == 0 and event.get("schema") == SERVICE_LOG_SCHEMA:
+                check_schema_version(event, f"service log {log_path}")
+                continue
+            kind = event.get("event")
+            job_id = event.get("id")
+            number = _id_number(job_id) if isinstance(job_id, str) else None
+            if number is not None:
+                counter = max(counter, number)
+            if kind == "submitted" and job_id:
+                try:
+                    spec = load_job_spec(event["spec"])
+                except Exception:
+                    continue  # unreadable spec: drop the job, keep the log
+                jobs[job_id] = Job(job_id, spec, float(event.get("t", 0.0)))
+                jobs[job_id].tenant = event.get("tenant")
+            elif kind == "state" and job_id in jobs:
+                job = jobs[job_id]
+                job.state = event.get("state", job.state)
+                if job.state == JobState.RUNNING:
+                    job.started_at = float(event.get("t", 0.0))
+                else:
+                    job.finished_at = float(event.get("t", 0.0))
+                if job.state == JobState.FAILED:
+                    job.error = event.get("error")
+            elif kind == "result" and job_id in jobs:
+                job = jobs[job_id]
+                job.results = [
+                    load_estimation_result(r) for r in event.get("results", [])
+                ]
+                # The results made it to disk: the work is done, whether
+                # or not the 'completed' state event was ever appended.
+                job.state = JobState.COMPLETED
+                job.completed_runs = len(job.results)
+            elif kind == "cancel_requested" and job_id in jobs:
+                jobs[job_id].cancel_event.set()
+    for job in jobs.values():
+        if job.terminal:
+            job.finished_at = job.finished_at or job.created_at
+            continue
+        if job.results is not None:
+            # A stale non-terminal state event after the result event.
+            job.state = JobState.COMPLETED
+            job.finished_at = job.finished_at or job.created_at
+        elif job.cancel_event.is_set():
+            job.state = JobState.CANCELLED
+            job.finished_at = job.finished_at or job.created_at
+    return jobs, counter
+
+
+class SQLiteJobStore:
+    """Thread-safe, durable job registry + FIFO queue on SQLite (WAL mode).
+
+    Serves in-memory :class:`Job` objects (``cancel_event`` and the live
+    ``trajectory`` are process-local by nature); the database is the
+    source of truth for everything durable.
     """
 
     def __init__(
@@ -263,24 +358,22 @@ class SQLiteJobStore:
         """Import an existing ``jobs.jsonl`` once, then retire it."""
         if not self.legacy_log_path.exists():
             return
-        jobs, counter = replay_log(self.legacy_log_path)
+        jobs, counter = _replay_legacy_log(self.legacy_log_path)
         with self._tx():
             for seq, job in enumerate(
                 sorted(jobs.values(), key=lambda j: (j.created_at, j.id)),
                 start=1,
             ):
-                parts = job.id.split("-")
-                numbered = len(parts) > 1 and parts[1].isdigit()
-                job_seq = int(parts[1]) if numbered else seq
+                number = _id_number(job.id)
                 self._conn.execute(
                     "INSERT OR IGNORE INTO jobs (id, seq, spec, "
                     "spec_fingerprint, state, created_at, started_at, "
                     "finished_at, error, cancel_requested, completed_runs, "
-                    "memo_hit, lease_owner) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0, NULL)",
+                    "memo_hit, lease_owner, tenant) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0, NULL, ?)",
                     (
                         job.id,
-                        job_seq,
+                        number if number is not None else seq,
                         json.dumps(dump_job_spec(job.spec), sort_keys=True),
                         fingerprint_job_spec(job.spec),
                         job.state,
@@ -290,6 +383,7 @@ class SQLiteJobStore:
                         job.error,
                         1 if job.cancel_event.is_set() else 0,
                         job.completed_runs,
+                        job.tenant,
                     ),
                 )
                 if job.results is not None:

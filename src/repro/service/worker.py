@@ -1,7 +1,7 @@
 """Worker pool: drains the job queue through the estimation pipeline.
 
 Each worker is a thread that claims one job at a time from the
-:class:`~repro.service.jobs.JobStore` and executes it:
+:class:`~repro.service.store.SQLiteJobStore` and executes it:
 
 * Single-run jobs call :meth:`MaxPowerEstimator.run` directly with a
   ``progress`` hook, so the job's per-k convergence trajectory updates
@@ -13,8 +13,8 @@ Each worker is a thread that claims one job at a time from the
   never recomputed, and the scheduler's seed contract keeps the final
   result list bit-identical to an uninterrupted execution.
 
-Under a lease-expiring store (:class:`~repro.service.store.SQLiteJobStore`
-with a ``lease_ttl``), the pool also runs one *lease keeper* thread: it
+When the store's leases expire (a ``lease_ttl`` is set, the default),
+the pool also runs one *lease keeper* thread: it
 renews the lease of every in-flight claim attempt each
 ``store.heartbeat_interval`` seconds — independent of estimator
 progress, so a long fit step can't silently lose a healthy job — and
@@ -55,7 +55,8 @@ from ..estimation.adaptive import build_estimator
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from ..obs.trace import get_tracer
-from .jobs import Job, JobStore
+from .jobs import Job
+from .store import SQLiteJobStore
 
 __all__ = ["WorkerPool"]
 
@@ -85,9 +86,9 @@ def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
 
 
 class WorkerPool:
-    """``num_workers`` daemon threads draining one :class:`JobStore`."""
+    """``num_workers`` daemon threads draining one :class:`SQLiteJobStore`."""
 
-    def __init__(self, store: JobStore, num_workers: int = 2):
+    def __init__(self, store: SQLiteJobStore, num_workers: int = 2):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.store = store
@@ -119,7 +120,7 @@ class WorkerPool:
             )
             thread.start()
             self._threads.append(thread)
-        if getattr(self.store, "heartbeat_interval", None) is not None:
+        if self.store.heartbeat_interval is not None:
             keeper = threading.Thread(
                 target=self._lease_keeper, name="repro-lease-keeper",
                 daemon=True,

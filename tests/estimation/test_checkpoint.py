@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, WorkerError
-from repro.estimation.checkpoint import CHECKPOINT_SCHEMA, open_checkpoint
+from repro.estimation.checkpoint import open_checkpoint
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.estimation.parallel import hyper_sample_many, run_many
 from repro.evt.distributions import GeneralizedWeibull
+from repro.schemas import CHECKPOINT_SCHEMA
 from repro.vectors.population import FinitePopulation
 
 from .faultlib import FaultyEstimator, RecordingEstimator

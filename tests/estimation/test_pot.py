@@ -26,8 +26,12 @@ class TestConfiguration:
             PeaksOverThresholdEstimator(pool, threshold_quantile=1.0)
         with pytest.raises(ConfigError):
             PeaksOverThresholdEstimator(pool, error=0)
-        with pytest.raises(ConfigError):
-            PeaksOverThresholdEstimator(pool, min_rounds=1)
+        with pytest.raises(ConfigError, match="min_hyper_samples must be"):
+            PeaksOverThresholdEstimator(pool, min_hyper_samples=1)
+        with pytest.raises(ConfigError, match="max_hyper_samples < min"):
+            PeaksOverThresholdEstimator(
+                pool, min_hyper_samples=5, max_hyper_samples=4
+            )
 
 
 class TestRounds:
@@ -79,14 +83,14 @@ class TestRun:
         heavy = FinitePopulation(
             rng_pool.pareto(1.0, size=20000) + 1.0, name="pareto"
         )
-        est = PeaksOverThresholdEstimator(heavy, max_rounds=4)
+        est = PeaksOverThresholdEstimator(heavy, max_hyper_samples=4)
         result = est.run(rng=11)
         # No crash, finite answer; POT cannot certify an endpoint here.
         assert np.isfinite(result.estimate)
 
     def test_budget_exhaustion_flagged(self, pool):
         est = PeaksOverThresholdEstimator(
-            pool, error=1e-6, max_rounds=3
+            pool, error=1e-6, max_hyper_samples=3
         )
         result = est.run(rng=12)
         assert not result.converged

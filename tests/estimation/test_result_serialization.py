@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.estimation.mc_estimator import MaxPowerEstimator
-from repro.estimation.result import (
-    RESULT_SCHEMA,
-    EstimationResult,
-    HyperSample,
-)
+from repro.estimation.result import EstimationResult, HyperSample
 from repro.evt.distributions import GeneralizedWeibull
+from repro.schemas import RESULT_SCHEMA
 from repro.vectors.population import FinitePopulation
 
 

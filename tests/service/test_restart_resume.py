@@ -4,6 +4,10 @@ A job interrupted by a server death must, after restart on the same
 state directory, finish with results bit-identical to an uninterrupted
 execution — single-run jobs by deterministic re-run, multi-run jobs by
 loading their per-run JSONL checkpoint and computing only the rest.
+
+The "dead server" is a bare store with the restarted server's replica
+id, so startup recovery reclaims its leases at once (another replica's
+live lease would be left alone until it expired).
 """
 
 from __future__ import annotations
@@ -15,7 +19,11 @@ from repro.api import EstimatorConfig, build_population, run_many
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.obs.metrics import get_registry
 from repro.service import Client, JobServer
-from repro.service.jobs import JobSpec, JobState, JobStore
+from repro.service.jobs import JobSpec, JobState
+from repro.service.store import SQLiteJobStore
+
+#: Replica id shared by the dead server and its restart.
+REPLICA = "r0"
 
 
 @pytest.fixture
@@ -30,7 +38,9 @@ def restartable(tmp_path):
 
 
 def start_server(state_dir) -> JobServer:
-    return JobServer(port=0, state_dir=state_dir, workers=1).start()
+    return JobServer(
+        port=0, state_dir=state_dir, workers=1, replica_id=REPLICA
+    ).start()
 
 
 class TestSingleRunRestart:
@@ -44,8 +54,8 @@ class TestSingleRunRestart:
             population_size=400,
         )
         # A server accepted the job and died before any worker touched it
-        # (JobStore alone = the durable half of the server).
-        store = JobStore(restartable)
+        # (the store alone = the durable half of the server).
+        store = SQLiteJobStore(restartable, replica_id=REPLICA)
         job = store.submit(spec)
         store.close()
 
@@ -73,7 +83,7 @@ class TestSingleRunRestart:
             seed=5,
             population_size=400,
         )
-        store = JobStore(restartable)
+        store = SQLiteJobStore(restartable, replica_id=REPLICA)
         job = store.submit(spec)
         claimed = store.claim_next(timeout=0.1)  # marked running, then died
         assert claimed.id == job.id
@@ -113,7 +123,7 @@ class TestMultiRunCheckpointResume:
         self, restartable, bench_path
     ):
         spec = self.make_spec(bench_path)
-        store = JobStore(restartable)
+        store = SQLiteJobStore(restartable, replica_id=REPLICA)
         job = store.submit(spec)
         store.claim_next(timeout=0.1)  # running when the server dies
 

@@ -1,28 +1,35 @@
 """SQLite job store: lifecycle, memoization, atomic claims, migration.
 
-The store must behave exactly like the legacy JSONL
-:class:`~repro.service.jobs.JobStore` for every lifecycle operation
-(the migration tests assert ``status_dict()`` parity replaying the same
-log through both), then go beyond it: content-keyed result memoization,
-tear-free terminal transitions, and compare-and-swap work claiming.
+Beyond the lifecycle every store needs, the store gives content-keyed
+result memoization, tear-free terminal transitions, compare-and-swap
+work claiming, and a one-shot import of a legacy ``jobs.jsonl`` event
+log (built from literal v1 events, so the import is tested against a
+frozen format).
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import sqlite3
 
 import pytest
 
 from repro.api import EstimatorConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchemaError
 from repro.obs.metrics import get_registry
-from repro.schemas import fingerprint_job_spec
-from repro.service.jobs import JobSpec, JobState, JobStore
+from repro.schemas import SCHEMA_VERSION, fingerprint_job_spec
+from repro.service.jobs import JobState
 from repro.service.store import SQLiteJobStore
 
-from .test_jobs import fake_result, make_spec
+from .test_jobs import (
+    cancel_requested,
+    fake_result,
+    make_spec,
+    result,
+    state,
+    submitted,
+    write_legacy_log,
+)
 
 
 @pytest.fixture
@@ -82,9 +89,24 @@ class TestLifecycle:
             store.request_cancel("job-999999-dead")
 
     def test_status_dict_matches_legacy_fields(self, tmp_path):
-        job = SQLiteJobStore(tmp_path / "a").submit(make_spec())
-        legacy = JobStore(tmp_path / "b").submit(make_spec())
-        assert set(job.status_dict()) == set(legacy.status_dict())
+        # The key set of GET /v1/jobs/{id} documented in docs/api.md.
+        job = SQLiteJobStore(tmp_path).submit(make_spec())
+        assert set(job.status_dict()) == {
+            "schema_version",
+            "id",
+            "state",
+            "spec",
+            "created_at",
+            "started_at",
+            "finished_at",
+            "error",
+            "cancel_requested",
+            "completed_runs",
+            "total_runs",
+            "memo_hit",
+            "trace_id",
+            "trajectory",
+        }
 
     def test_terminal_transition_is_one_transaction(self, tmp_path):
         # The result row and the terminal state land atomically: at no
@@ -221,26 +243,49 @@ class TestMemoization:
         assert store.submit(make_spec()).state == JobState.QUEUED
 
 
-def build_legacy_log(state_dir, torn_tail=False, cancelled_queued=False):
-    """A legacy jobs.jsonl with one completed, one mid-flight job (plus
-    optional torn tail / cancelled-while-queued variants)."""
-    store = JobStore(state_dir)
-    done = store.submit(make_spec(seed=1))
-    store.claim_next(timeout=0.01)
-    store.mark_completed(done, [fake_result(4.5)])
-    interrupted = store.submit(make_spec(seed=2))
-    store.claim_next(timeout=0.01)  # running when the process dies
-    if cancelled_queued:
-        third = store.submit(make_spec(seed=3))
-        third.cancel_event.set()
-        store._append(
-            {"event": "cancel_requested", "id": third.id, "t": 9.0}
-        )
-    store.close()
-    if torn_tail:
-        with open(state_dir / "jobs.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"event": "state", "id": "' + interrupted.id)
-    return state_dir / "jobs.jsonl"
+def legacy_log(state_dir, variant="plain"):
+    """A v1 jobs.jsonl: one completed job, one mid-flight when the
+    process died, plus a torn tail or a job cancelled while queued."""
+    events = [
+        submitted("job-000001-aaaa", seed=1, t=100.0),
+        state("job-000001-aaaa", "running", t=101.0),
+        result("job-000001-aaaa", 4.5),
+        state("job-000001-aaaa", "completed", t=102.0),
+        submitted("job-000002-bbbb", seed=2, t=103.0),
+        state("job-000002-bbbb", "running", t=104.0),
+    ]
+    tail = ""
+    if variant == "torn_tail":
+        tail = '{"event": "state", "id": "job-000002-bbbb'
+    if variant == "cancelled_queued":
+        events += [
+            submitted("job-000003-cccc", seed=3, t=105.0),
+            cancel_requested("job-000003-cccc", t=106.0),
+        ]
+    return write_legacy_log(state_dir, *events, tail=tail)
+
+
+def expected_status(job_id, seed, created_at, job_state, **fields):
+    """A migrated job's ``status_dict()``: the defaults of a job that
+    never ran, overridden by ``fields``."""
+    status = {
+        "schema_version": SCHEMA_VERSION,
+        "id": job_id,
+        "state": job_state,
+        "spec": make_spec(seed=seed).to_dict(),
+        "created_at": created_at,
+        "started_at": None,
+        "finished_at": None,
+        "error": None,
+        "cancel_requested": False,
+        "completed_runs": 0,
+        "total_runs": 1,
+        "memo_hit": False,
+        "trace_id": None,
+        "trajectory": [],
+    }
+    status.update(fields)
+    return status
 
 
 class TestMigration:
@@ -252,31 +297,68 @@ class TestMigration:
     def test_migrated_status_is_identical_to_legacy_replay(
         self, tmp_path, variant
     ):
-        legacy_dir = tmp_path / "legacy"
-        sqlite_dir = tmp_path / "sqlite"
-        legacy_dir.mkdir()
-        sqlite_dir.mkdir()
-        log = build_legacy_log(
-            legacy_dir,
-            torn_tail=variant == "torn_tail",
-            cancelled_queued=variant == "cancelled_queued",
-        )
-        shutil.copy(log, sqlite_dir / "jobs.jsonl")
+        legacy_log(tmp_path, variant)
+        expected = {
+            "job-000001-aaaa": expected_status(
+                "job-000001-aaaa", 1, 100.0, JobState.COMPLETED,
+                started_at=101.0, finished_at=102.0, completed_runs=1,
+            ),
+            # Mid-flight when the process died: requeued, lease cleared.
+            "job-000002-bbbb": expected_status(
+                "job-000002-bbbb", 2, 103.0, JobState.QUEUED,
+            ),
+        }
+        if variant == "cancelled_queued":
+            expected["job-000003-cccc"] = expected_status(
+                "job-000003-cccc", 3, 105.0, JobState.CANCELLED,
+                finished_at=105.0, cancel_requested=True,
+            )
 
-        replayed = JobStore(legacy_dir)
-        migrated = SQLiteJobStore(sqlite_dir)
-        legacy_status = {
-            j.id: j.status_dict() for j in replayed.list()
-        }
-        sqlite_status = {
-            j.id: j.status_dict() for j in migrated.list()
-        }
-        assert sqlite_status == legacy_status
-        assert migrated.requeued_ids == replayed.requeued_ids
-        assert migrated.migrated_jobs == len(legacy_status)
+        store = SQLiteJobStore(tmp_path)
+        assert {j.id: j.status_dict() for j in store.list()} == expected
+        assert store.requeued_ids == ["job-000002-bbbb"]
+        assert store.migrated_jobs == len(expected)
+
+    def test_header_less_log_is_read_as_v1(self, tmp_path):
+        write_legacy_log(
+            tmp_path,
+            submitted("job-000001-aaaa", seed=1, t=100.0),
+            result("job-000001-aaaa", 4.5),
+            header=None,
+        )
+        store = SQLiteJobStore(tmp_path)
+        assert store.migrated_jobs == 1
+        job = store.get("job-000001-aaaa")
+        assert job.state == JobState.COMPLETED
+        assert job.results[0].estimate == 4.5
+
+    def test_unknown_major_header_is_refused(self, tmp_path):
+        log = write_legacy_log(
+            tmp_path,
+            submitted("job-000001-aaaa", seed=1, t=100.0),
+            header={
+                "schema": "repro.service_jobs/v1", "schema_version": "2.0"
+            },
+        )
+        with pytest.raises(SchemaError, match="schema_version 2.0"):
+            SQLiteJobStore(tmp_path)
+        assert log.exists()  # not retired: nothing was imported
+        assert not (tmp_path / "jobs.jsonl.migrated").exists()
+
+    def test_tenant_survives_migration(self, tmp_path):
+        # The per-tenant quota must count a migrated job against the
+        # tenant that submitted it, not against the anonymous tenant.
+        write_legacy_log(
+            tmp_path,
+            submitted("job-000001-aaaa", seed=1, t=100.0, tenant="key-A"),
+        )
+        store = SQLiteJobStore(tmp_path)
+        assert store.get("job-000001-aaaa").tenant == "key-A"
+        assert store.tenant_active_jobs("key-A") == 1
+        assert store.tenant_active_jobs(None) == 0
 
     def test_log_is_retired_and_never_replayed_twice(self, tmp_path):
-        build_legacy_log(tmp_path)
+        legacy_log(tmp_path)
         store = SQLiteJobStore(tmp_path)
         jobs = {j.id for j in store.list()}
         store.close()
@@ -288,7 +370,7 @@ class TestMigration:
         assert {j.id for j in reborn.list()} == jobs
 
     def test_migrated_results_and_counter_carry_over(self, tmp_path):
-        build_legacy_log(tmp_path)
+        legacy_log(tmp_path)
         store = SQLiteJobStore(tmp_path)
         completed = store.list(state=JobState.COMPLETED)
         assert len(completed) == 1
@@ -301,9 +383,9 @@ class TestMigration:
         assert int(fresh.id.split("-")[1]) == max(taken) + 1
 
     def test_migrated_completed_job_memoizes(self, tmp_path, metrics):
-        # The memo key works across backends: a result computed before
-        # the migration serves an identical spec submitted after it.
-        build_legacy_log(tmp_path)
+        # The memo key carries across the import: a result computed
+        # before the migration serves an identical spec submitted after.
+        legacy_log(tmp_path)
         store = SQLiteJobStore(tmp_path)
         again = store.submit(make_spec(seed=1))
         assert again.memo_hit is True
