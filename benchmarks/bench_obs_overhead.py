@@ -1,15 +1,15 @@
 """Observability overhead — instrumented-but-disabled must be free.
 
-PR 2 threads metrics and tracing through the estimation hot path
+Metrics and spans are threaded through the estimation hot path
 (`hyper_sample` → `fit_weibull_mle` → per-k interval).  The design
 contract is a no-op fast path: with the registry disabled every record
-call is one attribute load plus one branch, and the tracer's ``emit``
-is never reached (call sites check ``tracer.enabled`` first).  This
-benchmark pins that contract down three ways:
+call is one attribute load plus one branch, and with spans disabled
+every span call returns a shared null object after one flag check.
+This benchmark pins that contract down three ways:
 
 * **identity** — estimates are bit-for-bit identical with observability
-  off, on, or on-with-trace (instrumentation never touches a random
-  stream);
+  off, on, or on-with-trace (spans written to a ``--trace`` JSONL sink;
+  instrumentation never touches a random stream);
 * **micro** — the disabled-path primitives (counter inc, timer context,
   histogram observe) cost well under a microsecond each, so the ~10
   instrumentation touches per hyper-sample are < 0.1 % of its ~10 ms
@@ -27,7 +27,7 @@ import pytest
 
 from repro.estimation import MaxPowerEstimator, run_many
 from repro.evt.distributions import GeneralizedWeibull
-from repro.obs import get_registry, get_span_recorder, get_tracer
+from repro.obs import get_registry, get_span_recorder
 from repro.vectors.population import FinitePopulation
 
 NUM_RUNS = 40
@@ -77,6 +77,7 @@ def clean_spans():
     spans.disable()
     spans.reset()
     yield spans
+    spans.close()
     spans.disable()
     spans.reset()
 
@@ -89,10 +90,12 @@ def test_disabled_observability_is_bit_identical(
     clean_registry.enable()
     _, with_metrics = _timed_runs(estimator, num_runs=10)
 
-    tracer = get_tracer()
-    tracer.open(tmp_path / "bench.jsonl")
+    clean_spans.open(tmp_path / "bench.jsonl")
     _, with_trace = _timed_runs(estimator, num_runs=10)
-    tracer.close()
+    clean_spans.close()
+    assert (tmp_path / "bench.jsonl").stat().st_size > 0
+    clean_spans.disable()
+    clean_spans.reset()
 
     clean_spans.enable()
     _, with_spans = _timed_runs(estimator, num_runs=10)

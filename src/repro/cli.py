@@ -27,7 +27,7 @@ Subcommands
 Observability
 -------------
 ``estimate``, ``experiment`` and ``delay`` accept ``--trace FILE``
-(structured JSONL trace of the estimation pipeline) and
+(the pipeline's spans, one JSON object per line) and
 ``--metrics FILE`` (metrics dump: ``.json`` snapshot or Prometheus
 text).  Setting the ``REPRO_TRACE`` environment variable traces any
 command to that path.  ``report --metrics FILE`` reads either artifact
@@ -51,7 +51,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .netlist.bench import load_bench
 from .netlist.circuit import Circuit
 from .netlist.generators import ISCAS85_PROFILES, available_circuits, build_circuit
@@ -116,7 +116,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
         type=Path,
         default=None,
         help=(
-            "write a structured JSONL trace of the estimation pipeline "
+            "write the pipeline's spans to FILE, one JSON object per line "
             "(REPRO_TRACE env sets a default for every command)"
         ),
     )
@@ -134,37 +134,63 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 class _ObsSession:
     """Per-invocation observability wiring for the CLI.
 
-    Enables the metrics registry and opens the trace sink before the
-    command runs, and flushes both afterwards — including on error, so
-    a failing run still leaves a usable trace behind.
+    :meth:`start` enables the metrics registry and opens the span sink
+    before the command runs; :meth:`finish` flushes both afterwards —
+    including on error, so a failing run still leaves a usable trace
+    behind.
     """
 
     def __init__(self, args: argparse.Namespace):
-        from .obs import get_registry, get_tracer
+        from .obs import get_registry, get_span_recorder
 
         self._registry = get_registry()
-        self._tracer = get_tracer()
+        self._spans = get_span_recorder()
         self.trace_path = getattr(args, "trace", None)
         if self.trace_path is None and os.environ.get("REPRO_TRACE"):
             self.trace_path = Path(os.environ["REPRO_TRACE"])
         self.metrics_path = getattr(args, "metrics", None)
         self._was_enabled = self._registry.enabled
+        self._spans_were_enabled = self._spans.enabled
+        self._started = False
+
+    def start(self) -> None:
+        """Check both output paths, then turn recording on.
+
+        Raises :class:`ConfigError` for an unwritable path, before the
+        command computes anything.
+        """
+        if self.metrics_path is not None and not self.metrics_path.parent.is_dir():
+            raise ConfigError(
+                f"cannot write metrics to {self.metrics_path}: "
+                f"{self.metrics_path.parent} is not a directory"
+            )
+        if self.trace_path is not None:
+            try:
+                self._spans.open(self.trace_path)
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot write trace to {self.trace_path}: {exc.strerror}"
+                ) from None
         if self.trace_path is not None or self.metrics_path is not None:
             self._registry.enable()
-        if self.trace_path is not None:
-            self._tracer.open(self.trace_path)
+        self._started = True
 
     def finish(self) -> None:
         from .obs import write_metrics_file
 
+        if not self._started:
+            return
         if self.metrics_path is not None:
             path = write_metrics_file(
                 self.metrics_path, self._registry.snapshot()
             )
             print(f"metrics written to {path}", file=sys.stderr)
         if self.trace_path is not None:
-            self._tracer.close()
+            self._spans.close()
             print(f"trace written to {self.trace_path}", file=sys.stderr)
+            if not self._spans_were_enabled:
+                self._spans.disable()
+                self._spans.reset()
         # Restore the registry so repeated in-process main() calls (the
         # test suite, notebooks) don't leak enablement across commands.
         if not self._was_enabled and (
@@ -791,7 +817,9 @@ def _cmd_report_metrics(path: Path) -> int:
         head = json.loads(first_line) if first_line else {}
     except json.JSONDecodeError:
         head = {}
-    if isinstance(head, dict) and "event" in head:
+    # A trace is JSON Lines; an indented .json snapshot's first line does
+    # not parse.  load_trace rejects the "event" lines of pre-2.0 traces.
+    if isinstance(head, dict) and ("span_id" in head or "event" in head):
         print(convergence_report(trace_events=load_trace(path)))
     else:
         print(convergence_report(snapshot=load_metrics_file(path)))
@@ -895,6 +923,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     obs_session = _ObsSession(args)
     try:
+        obs_session.start()
         if args.command == "suite":
             return _cmd_suite()
         if args.command == "info":

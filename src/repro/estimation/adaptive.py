@@ -22,7 +22,7 @@ controller ROADMAP item 4 calls for:
    the remaining hyper-sample budget; the pilot's cost is charged to
    the result's ``units_used`` and the whole decision is recorded on
    the result (:class:`~repro.estimation.result.AdaptiveDecision`), in
-   trace events, spans, and metrics.
+   spans and in metrics.
 
 Seed contract
 -------------
@@ -47,7 +47,6 @@ from ..evt.gpd import fit_gpd
 from ..evt.mle import fit_weibull_mle
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
 from .mc_estimator import MaxPowerEstimator
@@ -58,7 +57,6 @@ from .tuner import BlockSizeTuner
 __all__ = ["AdaptiveMaxPowerEstimator", "build_estimator"]
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _PILOT_UNITS = _METRICS.counter("adaptive_pilot_units_total")
 _CHOSEN_N_HIST = _METRICS.histogram(
@@ -236,6 +234,7 @@ class AdaptiveMaxPowerEstimator:
             "adaptive.pilot", population=self.population.name
         ) as span:
             report = self._tuner.run(gen)
+            candidate_ns = [p.n for p in report.pilots]
             chosen_n = report.recommended_n
             pilot = next(p for p in report.pilots if p.n == chosen_n)
             chosen_m = (
@@ -246,6 +245,7 @@ class AdaptiveMaxPowerEstimator:
             span.set(
                 chosen_n=chosen_n,
                 chosen_m=chosen_m,
+                candidate_ns=candidate_ns,
                 pilot_units=report.pilot_units_used,
                 fallback_rate=pilot.fallback_rate,
             )
@@ -268,7 +268,7 @@ class AdaptiveMaxPowerEstimator:
             cv_score_weibull=score_weibull,
             cv_score_pot=score_pot,
             pilot_units=overhead,
-            candidate_ns=[p.n for p in report.pilots],
+            candidate_ns=candidate_ns,
             pilot_fallback_rate=pilot.fallback_rate,
         )
         # Charge the pilot against the production budget in
@@ -323,12 +323,6 @@ class AdaptiveMaxPowerEstimator:
         _METRICS.counter("adaptive_runs_total", family=decision.family).inc()
         _PILOT_UNITS.inc(overhead)
         _CHOSEN_N_HIST.observe(decision.chosen_n)
-        if _TRACER.enabled:
-            _TRACER.emit(
-                "adaptive_decision",
-                population=self.population.name,
-                **decision.to_dict(),
-            )
         result = engine.run(rng=gen, progress=progress)
         result.method = "auto"
         result.decision = decision

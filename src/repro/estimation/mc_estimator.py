@@ -33,7 +33,6 @@ from ..obs.metrics import (
     get_registry,
 )
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
 from .finite_population import finite_population_estimate
@@ -44,7 +43,6 @@ __all__ = ["MaxPowerEstimator"]
 # Module-level metric handles: one dict lookup at import, then each
 # record is a branch on the registry's enabled flag (no-op fast path).
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _RUN_TIMER = _METRICS.timer("estimator_run_seconds")
 _HS_TIMER = _METRICS.timer("estimator_hyper_sample_seconds")
@@ -58,29 +56,26 @@ _ALPHA_HIST = _METRICS.histogram("estimator_alpha", buckets=DEFAULT_ALPHA_BUCKET
 _K_HIST = _METRICS.histogram("estimator_k", buckets=DEFAULT_K_BUCKETS)
 
 
-def _hyper_sample_payload(hs: HyperSample) -> dict:
-    """Trace payload for one hyper-sample (field names match
-    :meth:`HyperSample.to_dict` where they overlap)."""
+def _hyper_sample_attributes(
+    hs: HyperSample, rel_half_width=None, cumulative_units=None
+) -> dict:
+    """Per-k attributes of an ``estimator.hyper_sample`` span (names
+    match :meth:`HyperSample.to_dict` where they overlap); the last two
+    are known only inside :meth:`MaxPowerEstimator.run`."""
     maxima = hs.maxima
-    payload = {
-        "k": hs.index,
+    attributes = {
         "estimate": hs.estimate,
         "units_used": hs.units_used,
         "maxima_min": float(maxima.min()),
         "maxima_mean": float(maxima.mean()),
         "maxima_max": float(maxima.max()),
         "fallback_reason": hs.fallback_reason,
+        "rel_half_width": rel_half_width,
+        "cumulative_units": cumulative_units,
     }
-    if hs.fit is not None:
-        payload.update(
-            alpha=hs.fit.alpha,
-            beta=hs.fit.beta,
-            mu=hs.fit.mu,
-            shape_gt2=hs.fit.shape_gt2,
-        )
-    else:
-        payload.update(alpha=None, beta=None, mu=None, shape_gt2=None)
-    return payload
+    for name in ("alpha", "beta", "mu", "shape_gt2"):
+        attributes[name] = None if hs.fit is None else getattr(hs.fit, name)
+    return attributes
 
 
 class MaxPowerEstimator:
@@ -188,22 +183,22 @@ class MaxPowerEstimator:
         )
 
     # ------------------------------------------------------------------
-    def hyper_sample(
-        self, index: int, rng: RngLike = None, _trace: bool = True
-    ) -> HyperSample:
+    def hyper_sample(self, index: int, rng: RngLike = None) -> HyperSample:
         """Produce one hyper-sample estimate (n·m simulated units).
 
         Degenerate draws (all block maxima equal — possible in tiny
         populations) fall back to the plain sample maximum with
         ``fit=None`` rather than failing the whole run.
-
-        ``_trace=False`` is used internally by :meth:`run`, which emits
-        an enriched per-k event (with CI half-width and cumulative
-        units) instead of the standalone one — exactly one
-        ``hyper_sample`` trace event fires per hyper-sample either way.
         """
-        gen = as_rng(rng)
-        with _SPANS.span("estimator.hyper_sample", k=index) as span, _HS_TIMER.time():
+        with _SPANS.span("estimator.hyper_sample", k=index) as span:
+            hs = self._draw(index, as_rng(rng))
+            if _SPANS.enabled:
+                span.set(**_hyper_sample_attributes(hs))
+        return hs
+
+    def _draw(self, index: int, gen) -> HyperSample:
+        """One hyper-sample's work; the caller owns its span."""
+        with _HS_TIMER.time():
             # Batched fast path: all n*m units in one vectorized draw.
             maxima = self.population.sample_block_maxima(self.n, self.m, gen)
             units = self.n * self.m
@@ -226,11 +221,6 @@ class MaxPowerEstimator:
                 estimate = max(estimate, float(maxima.max()))
                 if self.upper_bound is not None:
                     estimate = min(estimate, self.upper_bound)
-            span.set(
-                estimate=estimate,
-                units=units,
-                fallback=fallback_reason is not None,
-            )
         hs = HyperSample(
             index=index,
             maxima=maxima,
@@ -247,14 +237,6 @@ class MaxPowerEstimator:
             _ALPHA_HIST.observe(fit.alpha)
             if not fit.shape_gt2:
                 _NONREGULAR.inc()
-        if _trace and _TRACER.enabled:
-            _TRACER.emit(
-                "hyper_sample",
-                population=self.population.name,
-                rel_half_width=None,
-                cumulative_units=None,
-                **_hyper_sample_payload(hs),
-            )
         return hs
 
     # ------------------------------------------------------------------
@@ -281,51 +263,39 @@ class MaxPowerEstimator:
             population_name=self.population.name,
             population_size=self.population.size,
         )
-        tracing = _TRACER.enabled
-        run_id = _TRACER.next_id("run") if tracing else None
-        if tracing:
-            _TRACER.emit(
-                "run_start",
-                run_id=run_id,
-                population=self.population.name,
-                population_size=self.population.size,
-                n=self.n,
-                m=self.m,
-                error=self.error,
-                confidence=self.confidence,
-                min_hyper_samples=self.min_hyper_samples,
-                max_hyper_samples=self.max_hyper_samples,
-                finite_correction=self.finite_correction,
-            )
         _RUNS_TOTAL.inc()
+        tracing = _SPANS.enabled
         with _SPANS.span(
             "estimator.run",
             population=self.population.name,
+            population_size=self.population.size,
             n=self.n,
             m=self.m,
+            error=self.error,
+            confidence=self.confidence,
+            min_hyper_samples=self.min_hyper_samples,
+            max_hyper_samples=self.max_hyper_samples,
+            finite_correction=self.finite_correction,
         ) as run_span, _RUN_TIMER.time():
             estimates = []
             for k in range(1, self.max_hyper_samples + 1):
-                hs = self.hyper_sample(k, gen, _trace=False)
-                result.hyper_samples.append(hs)
-                result.units_used += hs.units_used
-                estimates.append(hs.estimate)
-                interval = None
-                if k >= self.min_hyper_samples:
-                    interval = t_mean_interval(estimates, self.confidence)
-                    result.interval = interval
-                    result.estimate = interval.mean
-                    result.ci_trajectory.append(interval.rel_half_width)
-                if tracing:
-                    _TRACER.emit(
-                        "hyper_sample",
-                        run_id=run_id,
-                        rel_half_width=(
-                            interval.rel_half_width if interval else None
-                        ),
-                        cumulative_units=result.units_used,
-                        **_hyper_sample_payload(hs),
-                    )
+                with _SPANS.span("estimator.hyper_sample", k=k) as span:
+                    hs = self._draw(k, gen)
+                    result.hyper_samples.append(hs)
+                    result.units_used += hs.units_used
+                    estimates.append(hs.estimate)
+                    interval = None
+                    if k >= self.min_hyper_samples:
+                        interval = t_mean_interval(estimates, self.confidence)
+                        result.interval = interval
+                        result.estimate = interval.mean
+                        result.ci_trajectory.append(interval.rel_half_width)
+                    if tracing:
+                        span.set(**_hyper_sample_attributes(
+                            hs,
+                            interval.rel_half_width if interval else None,
+                            result.units_used,
+                        ))
                 if progress is not None:
                     progress(hs, interval, result.units_used)
                 if interval is not None and (
@@ -347,18 +317,9 @@ class MaxPowerEstimator:
                 converged=result.converged,
                 estimate=result.estimate,
                 units_used=result.units_used,
+                rel_half_width=result.rel_half_width,
             )
         _K_HIST.observe(result.k)
         if result.converged:
             _RUNS_CONVERGED.inc()
-        if tracing:
-            _TRACER.emit(
-                "run_end",
-                run_id=run_id,
-                converged=result.converged,
-                k=result.k,
-                estimate=result.estimate,
-                units_used=result.units_used,
-                rel_half_width=result.rel_half_width,
-            )
         return result

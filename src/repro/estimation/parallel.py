@@ -85,7 +85,6 @@ import numpy as np
 from ..errors import ConfigError, TaskTimeoutError, WorkerError
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from .checkpoint import open_checkpoint
 from .mc_estimator import MaxPowerEstimator
 from .result import EstimationResult, HyperSample
@@ -190,11 +189,9 @@ def _init_worker(
     # to this process then reuses that plan through the circuit's memo
     # cache instead of re-freezing the netlist per task.
     _WORKER_ESTIMATOR = estimator
-    # A forked child inherits the parent's registry *values* and an open
-    # trace sink.  Reset the former (so per-task snapshots contain only
-    # this worker's activity and merging never double counts) and close
-    # the latter (two processes appending to one JSONL would interleave;
-    # traces are parent-only, metrics are the cross-process signal).
+    # A forked child inherits the parent's registry *values*.  Reset them
+    # so per-task snapshots contain only this worker's activity and
+    # merging never double counts.
     registry = get_registry()
     registry.reset()
     if obs_enabled:
@@ -204,14 +201,16 @@ def _init_worker(
     # Spans follow the same snapshot/merge route as metrics; the parent's
     # ambient span context (e.g. the service's job.run span) is
     # re-attached here so worker-side spans graft onto the same tree.
+    # The child also inherits the parent's open JSONL sink: drop it
+    # without writing, since merged spans reach the file via the parent.
     spans = get_span_recorder()
+    spans.close()
     spans.reset()
     if spans_enabled:
         spans.enable()
     else:
         spans.disable()
     spans.attach(span_context)
-    get_tracer().close()
 
 
 def _require_estimator() -> MaxPowerEstimator:
@@ -340,16 +339,14 @@ def _handle_failure(
         ) from exc
     cause = "timeout" if timed_out else "error"
     registry.counter("parallel_retries_total", kind=kind, cause=cause).inc()
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.emit(
-            "task_retry",
-            kind=kind,
-            index=index,
-            attempt=attempt,
-            cause=cause,
-            detail=f"timeout {timeout:g}s" if timed_out else str(exc),
-        )
+    get_span_recorder().emit(
+        "task_retry",
+        kind=kind,
+        index=index,
+        attempt=attempt,
+        cause=cause,
+        detail=f"timeout {timeout:g}s" if timed_out else str(exc),
+    )
     delay = _backoff_delay(backoff, attempt)
     if delay:
         time.sleep(delay)
@@ -433,7 +430,6 @@ def _run_pool(
     Returns the tasks left unfinished when degrading to serial execution
     (empty on normal completion).
     """
-    tracer = get_tracer()
     pending = deque((index, 0, payload) for index, payload in items)
     inflight: Dict[Future, Tuple[int, int, object, Optional[float]]] = {}
     window = min(workers, len(items))
@@ -472,8 +468,7 @@ def _run_pool(
         registry.counter(
             "parallel_pool_rebuilds_total", kind=kind, cause=cause
         ).inc()
-        if tracer.enabled:
-            tracer.emit("pool_rebuild", kind=kind, cause=cause)
+        get_span_recorder().emit("pool_rebuild", kind=kind, cause=cause)
 
     try:
         pool = build()
@@ -578,7 +573,7 @@ def _drive(
 ) -> List[object]:
     """Shared fault-tolerant driver behind ``run_many``/``hyper_sample_many``."""
     registry = get_registry()
-    tracer = get_tracer()
+    spans = get_span_recorder()
     total = len(items)
     results: Dict[int, object] = {}
     writer = None
@@ -596,15 +591,14 @@ def _drive(
             registry.counter(
                 "checkpoint_results_total", kind=kind, status="loaded"
             ).inc(len(loaded))
-        if tracer.enabled:
-            tracer.emit(
-                "checkpoint",
-                kind=kind,
-                action="resume" if resume else "start",
-                path=str(checkpoint),
-                loaded=len(loaded),
-                total=total,
-            )
+        spans.emit(
+            "checkpoint",
+            kind=kind,
+            action="resume" if resume else "start",
+            path=str(checkpoint),
+            loaded=len(loaded),
+            total=total,
+        )
         if observer is not None:
             # Checkpoint-loaded results reach the observer too, in index
             # order, so a caller's progress view is complete on resume.
@@ -638,10 +632,9 @@ def _drive(
                 registry.counter(
                     "parallel_serial_degradations_total", kind=kind
                 ).inc()
-                if tracer.enabled:
-                    tracer.emit(
-                        "parallel_degraded", kind=kind, remaining=len(remaining)
-                    )
+                spans.emit(
+                    "parallel_degraded", kind=kind, remaining=len(remaining)
+                )
                 _run_serial(
                     local_fn, remaining, kind=kind, retries=retries,
                     backoff=backoff, registry=registry, on_result=on_result,

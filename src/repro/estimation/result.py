@@ -2,9 +2,10 @@
 
 Both records serialize to plain JSON (``to_dict``/``to_json`` with
 ``from_dict``/``from_json`` round trips), and the dict forms share their
-field names with the ``hyper_sample``/``run_end`` trace events emitted
-by :mod:`repro.obs` — a persisted result and a trace of the run that
-produced it describe the same thing in the same vocabulary.
+field names with the attributes of the ``estimator.hyper_sample`` and
+``estimator.run`` spans recorded by :mod:`repro.obs` — a persisted
+result and a trace of the run that produced it describe the same thing
+in the same vocabulary.
 
 The wire format itself (field set, ``schema_version`` stamping, major
 version rejection) is owned by :mod:`repro.schemas`; the methods here

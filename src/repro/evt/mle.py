@@ -31,13 +31,11 @@ from scipy import optimize
 from ..errors import EstimationError, FitError
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from .distributions import GeneralizedWeibull
 
 __all__ = ["WeibullFit", "fit_weibull_mle", "fit_weibull_mle_scipy", "fisher_covariance"]
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _FIT_TIMER = _METRICS.timer("mle_fit_seconds")
 _FITS_TOTAL = _METRICS.counter("mle_fits_total")
@@ -217,15 +215,19 @@ def fit_weibull_mle(
                 )
             except FitError as exc:
                 _METRICS.counter("mle_fit_errors_total", cause=exc.cause).inc()
-                if _TRACER.enabled:
-                    _TRACER.emit("mle_fit_error", cause=exc.cause, reason=str(exc))
                 span.set(cause=exc.cause)
                 raise
         _FITS_TOTAL.inc()
         _METRICS.counter("mle_refine_total", path=diag["refine"]).inc()
-        if _TRACER.enabled:
-            _TRACER.emit("mle_fit", **fit.to_dict(), **diag)
-        span.set(alpha=fit.alpha, beta=fit.beta, mu=fit.mu, refine=diag["refine"])
+        span.set(
+            alpha=fit.alpha,
+            beta=fit.beta,
+            mu=fit.mu,
+            loglik=fit.loglik,
+            method=fit.method,
+            shape_gt2=fit.shape_gt2,
+            **diag,
+        )
     return fit
 
 
@@ -238,7 +240,7 @@ def _fit_weibull_mle_impl(
     """Uninstrumented fitter core; returns ``(fit, diagnostics)``.
 
     The diagnostics dict carries the μ-profile search telemetry the
-    ``mle_fit`` trace event exposes: profile evaluations on the coarse
+    ``mle.fit`` span records: profile evaluations on the coarse
     grid (and how many were finite), the refinement bracket around the
     best offset, and which refinement path ran (``"root"`` when the
     profile derivative bracketed a sign change, ``"minimize"`` for the

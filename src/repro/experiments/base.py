@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-from ..obs.trace import jsonable
+from ..obs.spans import jsonable
 from .tables import render_table, to_csv
 
 __all__ = ["ExperimentTable", "TABLE_SCHEMA"]

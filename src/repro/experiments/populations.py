@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..netlist.generators import build_circuit
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
+from ..obs.spans import get_span_recorder
 from ..sim.power import PowerAnalyzer
 from ..vectors.generators import (
     high_activity_vector_pairs,
@@ -48,7 +48,7 @@ _PIPELINE_VERSION = "build-v2"
 _MEMORY_CACHE: Dict[Tuple, FinitePopulation] = {}
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
+_SPANS = get_span_recorder()
 _CACHE_HITS = _METRICS.counter("population_cache_hits_total")
 _CACHE_MISSES = _METRICS.counter("population_cache_misses_total")
 _MEMCACHE_HITS = _METRICS.counter("population_memcache_hits_total")
@@ -116,13 +116,11 @@ def build_population(
     path = _cache_path(config, circuit_name, kind, size)
     if path.exists():
         _CACHE_HITS.inc()
-        if _TRACER.enabled:
-            _TRACER.emit("population_cache", hit=True, path=str(path))
+        _SPANS.emit("population_cache", hit=True, path=str(path))
         with _CACHE_LOAD_TIMER.time():
             return FinitePopulation.load(path)
     _CACHE_MISSES.inc()
-    if _TRACER.enabled:
-        _TRACER.emit("population_cache", hit=False, path=str(path))
+    _SPANS.emit("population_cache", hit=False, path=str(path))
 
     circuit = build_circuit(circuit_name)
     analyzer = PowerAnalyzer(

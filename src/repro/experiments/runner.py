@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigError
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
+from ..obs.spans import get_span_recorder
 from .ablations import (
     run_ablation_finite_population,
     run_ablation_fitting,
@@ -57,7 +57,7 @@ EXPERIMENTS: Dict[str, Callable[[Optional[ExperimentConfig]], ExperimentTable]] 
 }
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
+_SPANS = get_span_recorder()
 
 #: Schema tag of experiment checkpoint files.
 EXPERIMENT_CHECKPOINT_SCHEMA = "repro.experiment_checkpoint/v1"
@@ -167,23 +167,17 @@ def run_experiment(
                 _METRICS.counter(
                     "experiment_checkpoints_total", status="loaded"
                 ).inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        "checkpoint",
-                        kind="experiment",
-                        action="resume",
-                        name=name,
-                    )
+                _SPANS.emit(
+                    "checkpoint", kind="experiment", action="resume", name=name
+                )
                 return table
-    start = time.perf_counter()
-    table = runner(config)
-    elapsed = time.perf_counter() - start
+    with _SPANS.span("experiment.run", name=name) as span:
+        start = time.perf_counter()
+        table = runner(config)
+        elapsed = time.perf_counter() - start
+        span.set(seconds=elapsed, rows=len(table.rows))
     _METRICS.timer("experiment_seconds", experiment=name).observe(elapsed)
     table.data.setdefault("wall_time_s", elapsed)
-    if _TRACER.enabled:
-        _TRACER.emit(
-            "experiment", name=name, seconds=elapsed, rows=len(table.rows)
-        )
     if checkpoint_dir is not None:
         _write_experiment_checkpoint(
             _checkpoint_path(checkpoint_dir, name), name, key, table

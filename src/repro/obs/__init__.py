@@ -6,12 +6,12 @@ or scipy):
 * :mod:`repro.obs.metrics` — process-wide registry of counters, gauges,
   timers and fixed-bucket histograms, with thread-safe recording and
   snapshot/merge aggregation across the ``run_many`` process pools;
-* :mod:`repro.obs.trace` — structured JSONL trace events plus an
-  in-memory ring buffer (one ``hyper_sample`` event per Figure 4
-  iteration is the core signal);
 * :mod:`repro.obs.spans` — hierarchical spans with W3C trace-context
   propagation, following one job across HTTP, queue, worker-thread and
-  pool-process boundaries;
+  pool-process boundaries.  Spans are the one event record: their
+  attributes carry what each phase computed (one
+  ``estimator.hyper_sample`` span per Figure 4 iteration is the core
+  signal), and an open JSONL sink streams them to a file;
 * :mod:`repro.obs.export` — Prometheus text exposition and the human
   convergence-diagnostics report.
 
@@ -21,11 +21,12 @@ bit-identical with observability enabled or disabled.  Turn it on via
 ``repro ... --trace FILE --metrics FILE``, the ``REPRO_TRACE``
 environment variable, or programmatically::
 
-    from repro.obs import get_registry, get_tracer
+    from repro.obs import get_registry, get_span_recorder
 
     get_registry().enable()
-    get_tracer().open("run.jsonl")
+    get_span_recorder().open("run.jsonl")  # enables spans
     ...
+    get_span_recorder().close()
     snapshot = get_registry().snapshot()
 """
 
@@ -53,11 +54,11 @@ from .spans import (
     SpanRecorder,
     build_span_tree,
     get_span_recorder,
+    jsonable,
     parse_traceparent,
     render_span_waterfall,
     to_chrome_trace,
 )
-from .trace import EVENT_TYPES, TraceRecorder, get_tracer, jsonable
 
 __all__ = [
     "Counter",
@@ -68,9 +69,6 @@ __all__ = [
     "get_registry",
     "DEFAULT_ALPHA_BUCKETS",
     "DEFAULT_K_BUCKETS",
-    "TraceRecorder",
-    "get_tracer",
-    "EVENT_TYPES",
     "jsonable",
     "Span",
     "SpanContext",

@@ -6,7 +6,8 @@ Two consumers of the observability data:
   the Prometheus text exposition format (``repro_`` prefix, cumulative
   ``_bucket{le=...}`` histogram series, ``_count``/``_sum`` for timers);
 * humans — :func:`convergence_report` summarizes either a metrics
-  snapshot or a trace JSONL into the diagnostics that matter for the
+  snapshot or the span records of a ``--trace`` JSONL file into the
+  diagnostics that matter for the
   paper's iterative procedure: convergence rate, the k distribution,
   fallback and non-regular (α̂ ≤ 2) fit rates, the CI half-width
   trajectory, and where wall-clock went.
@@ -241,8 +242,8 @@ def load_metrics_file(path: Union[str, Path]) -> dict:
 
 
 def load_trace(path: Union[str, Path]) -> List[dict]:
-    """Parse a JSONL trace file into a list of event dicts."""
-    events: List[dict] = []
+    """Parse a ``--trace`` JSONL file into a list of span records."""
+    records: List[dict] = []
     path = Path(path)
     for line_no, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -252,13 +253,10 @@ def load_trace(path: Union[str, Path]) -> List[dict]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{line_no}: invalid trace line ({exc})") from None
-        if not isinstance(record, dict) or "event" not in record:
-            raise ConfigError(f"{path}:{line_no}: trace line is not an event object")
-        # Trace events written before payload versioning carry no
-        # schema_version; when present it must be a readable major.
-        check_schema_version(record, f"trace event at {path}:{line_no}")
-        events.append(record)
-    return events
+        if not isinstance(record, dict) or "span_id" not in record or "name" not in record:
+            raise ConfigError(f"{path}:{line_no}: trace line is not a span record")
+        records.append(record)
+    return records
 
 
 def phase_timings(snapshot: dict) -> Dict[str, dict]:
@@ -313,7 +311,7 @@ def _pct(num: float, den: float) -> str:
 
 
 def _num(value) -> Optional[float]:
-    """Undo the trace JSON encoding of non-finite floats."""
+    """Undo the span JSON encoding of non-finite floats."""
     if value is None:
         return None
     if isinstance(value, str):
@@ -381,27 +379,30 @@ def _metrics_section(snapshot: dict) -> List[str]:
     return lines
 
 
-def _trace_section(events: Sequence[dict]) -> List[str]:
+def _trace_section(spans: Sequence[dict]) -> List[str]:
     lines = ["== trace =="]
-    runs = [e for e in events if e["event"] == "run_end"]
-    hypers = [e for e in events if e["event"] == "hyper_sample"]
+    runs = sorted(
+        (s for s in spans if s["name"] == "estimator.run"),
+        key=lambda s: s["start_ts"],
+    )
+    hypers = [s for s in spans if s["name"] == "estimator.hyper_sample"]
     if not runs and not hypers:
         lines.append("(no estimation events in trace)")
         return lines
-    if runs:
-        converged = sum(1 for e in runs if e.get("converged"))
-        ks = [e.get("k", 0) for e in runs]
-        units = [e.get("units_used", 0) for e in runs]
+    finished = [s["attributes"] for s in runs if s.get("status") == "ok"]
+    if finished:
+        converged = sum(1 for a in finished if a.get("converged"))
+        ks = [a.get("k", 0) for a in finished]
+        units = [a.get("units_used", 0) for a in finished]
         lines.append(
-            f"runs: {len(runs)} ({converged} converged), "
+            f"runs: {len(finished)} ({converged} converged), "
             f"k: min {min(ks)} / max {max(ks)}, "
             f"units: min {min(units)} / max {max(units)}"
         )
     if hypers:
-        fallbacks = [e for e in hypers if e.get("fallback_reason")]
-        alphas = [
-            _num(e.get("alpha")) for e in hypers if e.get("alpha") is not None
-        ]
+        attrs = [s["attributes"] for s in hypers]
+        fallbacks = [a for a in attrs if a.get("fallback_reason")]
+        alphas = [_num(a.get("alpha")) for a in attrs if a.get("alpha") is not None]
         alphas = [a for a in alphas if a is not None and math.isfinite(a)]
         lines.append(
             f"hyper-samples: {len(hypers)}, fallbacks: {len(fallbacks)}"
@@ -414,19 +415,21 @@ def _trace_section(events: Sequence[dict]) -> List[str]:
                 f" ({nonreg} fits at alpha <= 2)"
             )
     # Per-run CI half-width trajectory: the convergence picture of
-    # Figure 4.  Group hyper_sample events by run_id.
-    by_run: Dict[str, List[dict]] = {}
-    for e in hypers:
-        run_id = e.get("run_id")
-        if run_id:
-            by_run.setdefault(run_id, []).append(e)
-    for run_id, run_events in sorted(by_run.items()):
+    # Figure 4.  Hyper-sample spans are children of their run's span;
+    # runs are numbered in start order.
+    by_run: Dict[str, List[dict]] = {s["span_id"]: [] for s in runs}
+    for s in hypers:
+        if s.get("parent_id") in by_run:
+            by_run[s["parent_id"]].append(s["attributes"])
+    for number, run_attrs in enumerate(by_run.values(), 1):
+        if not run_attrs:
+            continue
         widths = []
-        for e in sorted(run_events, key=lambda e: e.get("k", 0)):
-            w = _num(e.get("rel_half_width"))
+        for a in sorted(run_attrs, key=lambda a: a.get("k", 0)):
+            w = _num(a.get("rel_half_width"))
             widths.append("--" if w is None or not math.isfinite(w) else f"{w:.3f}")
         trajectory = " ".join(widths[:12]) + (" ..." if len(widths) > 12 else "")
-        lines.append(f"  {run_id}: rel CI half-width by k: {trajectory}")
+        lines.append(f"  run-{number}: rel CI half-width by k: {trajectory}")
     return lines
 
 
@@ -436,11 +439,12 @@ def convergence_report(
 ) -> str:
     """Human-readable convergence diagnostics.
 
-    Either input may be omitted; the report renders whatever is
+    ``trace_events`` are span records, as :func:`load_trace` returns
+    them.  Either input may be omitted; the report renders whatever is
     available.  This is what ``repro report --metrics FILE`` prints.
     """
     if snapshot is None and trace_events is None:
-        raise ConfigError("convergence_report needs a snapshot or trace events")
+        raise ConfigError("convergence_report needs a snapshot or trace spans")
     lines = ["convergence diagnostics"]
     if snapshot is not None:
         lines.extend(_metrics_section(snapshot))

@@ -1,9 +1,9 @@
-"""Hierarchical spans: follow one job from HTTP accept to the last fit.
+"""Hierarchical spans: the pipeline's one event record.
 
-The metrics registry answers "how much, in aggregate"; the tracer
-answers "what happened, in order".  Spans answer the third question —
-*where did this particular job's time go* — by arranging timed phases
-into a tree that crosses every process boundary the pipeline has:
+The metrics registry answers "how much, in aggregate".  Spans answer
+"what happened, in order, and where did the time go" by arranging timed
+phases, with their attributes, into a tree that crosses every process
+boundary the pipeline has:
 
     http.request            (server thread, parented on the client's
       job.queue_wait         traceparent header)
@@ -15,6 +15,16 @@ into a tree that crosses every process boundary the pipeline has:
           estimator.hyper_sample   (one per k)
             mle.fit
       job.commit
+
+Each span's attributes carry what its phase computed; the load-bearing
+one is ``estimator.hyper_sample``, which holds the paper's Figure 4
+loop step by step: k, the fitted (α̂, β̂, μ̂) or the fallback reason,
+the relative CI half-width and the cumulative unit count.  Events with
+no duration (a task retry, a cache lookup) are zero-length spans from
+:meth:`SpanRecorder.emit`.  The attribute schema of every span name
+lives in ``docs/observability.md``.  :meth:`SpanRecorder.open` streams
+each finished span to a JSONL file as one line — the ``--trace FILE``
+format that ``repro report --metrics FILE`` reads back.
 
 Design contract (same as the rest of :mod:`repro.obs`):
 
@@ -29,7 +39,9 @@ Design contract (same as the rest of :mod:`repro.obs`):
 * **Snapshot/merge.**  Pool worker processes record spans locally and
   ship them back with each task result exactly like metric deltas;
   failed attempts are discarded and retried attempts re-record, so the
-  final tree reflects the attempts that produced the results.
+  final tree reflects the attempts that produced the results.  Merged
+  spans reach the JSONL sink like local ones; a worker never writes to
+  the sink it inherited.
 
 Context propagation uses a :class:`contextvars.ContextVar`, which is
 per-thread by default — each service worker thread attaches its job's
@@ -38,21 +50,22 @@ context explicitly and HTTP handler threads never leak theirs.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
-
-from .trace import get_tracer, jsonable
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 __all__ = [
     "SpanContext",
     "Span",
     "SpanRecorder",
     "get_span_recorder",
+    "jsonable",
     "new_trace_id",
     "new_span_id",
     "parse_traceparent",
@@ -65,6 +78,34 @@ __all__ = [
 DEFAULT_MAX_TRACES = 256
 #: Finished spans retained per trace (oldest dropped beyond this).
 DEFAULT_MAX_SPANS_PER_TRACE = 8192
+
+
+def jsonable(value):
+    """Best-effort JSON sanitizer for span attributes.
+
+    Numpy scalars and arrays are unwrapped, non-finite floats become the
+    strings ``"nan"``/``"inf"``/``"-inf"`` (JSON has no literal for
+    them), and anything else unknown is ``str()``-ed.  Also used by
+    :meth:`repro.experiments.base.ExperimentTable.to_dict`, so
+    experiment checkpoints and span records share one JSON coercion.
+    """
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        if value != value:  # nan
+            return "nan"
+        if value in (float("inf"), float("-inf")):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if hasattr(value, "tolist"):  # numpy array
+        return jsonable(value.tolist())
+    if hasattr(value, "item"):  # numpy scalar
+        return jsonable(value.item())
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return str(value)
 
 
 def new_trace_id() -> str:
@@ -201,9 +242,8 @@ class SpanRecorder:
     """Process-wide span buffer with an ambient current-span context.
 
     Finished spans are plain dicts grouped by ``trace_id`` in an LRU
-    buffer; when the event tracer is also enabled each finished span is
-    additionally emitted as a ``"span"`` trace event, so JSONL traces
-    carry the tree too.
+    buffer; while a JSONL sink is open (:meth:`open`) each one is also
+    written to it as one line.
     """
 
     def __init__(
@@ -218,6 +258,7 @@ class SpanRecorder:
         self._lock = threading.Lock()
         self._traces: "OrderedDict[str, List[dict]]" = OrderedDict()
         self._seq = 0
+        self._sink = None
         self._current: "ContextVar[Optional[SpanContext]]" = ContextVar(
             "repro_current_span", default=None
         )
@@ -234,9 +275,33 @@ class SpanRecorder:
         self._enabled = False
 
     def reset(self) -> None:
-        """Drop all buffered spans (enablement unchanged)."""
+        """Drop all buffered spans (enablement and sink unchanged)."""
         with self._lock:
             self._traces.clear()
+
+    # -- JSONL sink -----------------------------------------------------
+    def open(self, path: Union[str, Path]) -> None:
+        """Enable recording and write every finished span to ``path``,
+        one JSON object per line (truncating the file).
+
+        The file is unbuffered, so each line reaches the OS as it is
+        written: a process forked later inherits no pending lines it
+        could write a second time.
+        """
+        self.close()
+        self._sink = open(path, "wb", buffering=0)
+        self._enabled = True
+
+    def close(self) -> None:
+        """Close the sink, if open (enablement unchanged).
+
+        Writes nothing, so a forked pool worker calls it to drop the
+        sink it inherited.
+        """
+        with self._lock:
+            sink, self._sink = self._sink, None
+        if sink is not None:
+            sink.close()
 
     # -- ambient context ------------------------------------------------
     def current_context(self) -> Optional[SpanContext]:
@@ -338,10 +403,12 @@ class SpanRecorder:
         return record
 
     def _record(self, record: dict) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.emit("span", **record)
+        line = None
+        if self._sink is not None:
+            line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
         with self._lock:
+            if line is not None and self._sink is not None:
+                self._sink.write(line)
             self._seq += 1
             record["_seq"] = self._seq
             spans = self._traces.get(record["trace_id"])
@@ -486,28 +553,30 @@ def render_span_waterfall(spans: List[dict], width: int = 32) -> str:
     t0 = min(float(s["start_ts"]) for s in spans)
     t1 = max(float(s["start_ts"]) + float(s["duration_s"]) for s in spans)
     total = max(t1 - t0, 1e-9)
-    label_width = 4 + max(
-        len(_span_label(s)) + 2 * _span_depth(s, spans) for s in spans
-    )
+    # One walk of the tree gives every row its indented label, and so
+    # the label column width, in time linear in the span count.
+    rows = []
+    def walk(node: dict, depth: int) -> None:
+        rows.append((node, "  " * depth + _span_label(node)))
+        for child in node["children"]:
+            walk(child, depth + 1)
+    for root in build_span_tree(spans):
+        walk(root, 0)
+    label_width = 4 + max((len(label) for _, label in rows), default=0)
     lines = [
         f"trace {spans[0]['trace_id']}: {len(spans)} spans over {total:.3f}s"
     ]
-    def emit(node: dict, depth: int) -> None:
+    for node, label in rows:
         start = float(node["start_ts"]) - t0
         dur = float(node["duration_s"])
         left = min(int(width * start / total), width - 1)
         bar_len = max(1, min(int(round(width * dur / total)), width - left))
         bar = " " * left + "#" * bar_len
-        label = "  " * depth + _span_label(node)
         status = "" if node.get("status", "ok") == "ok" else f"  !{node['status']}"
         lines.append(
             f"  {label:<{label_width}} {start:>8.3f}s {dur:>9.3f}s  "
             f"[{bar:<{width}}]{status}"
         )
-        for child in node["children"]:
-            emit(child, depth + 1)
-    for root in build_span_tree(spans):
-        emit(root, 0)
     return "\n".join(lines)
 
 
@@ -519,15 +588,3 @@ def _span_label(record: dict) -> str:
         if key in attributes
     ]
     return record["name"] + (f" ({', '.join(extras)})" if extras else "")
-
-
-def _span_depth(record: dict, spans: List[dict]) -> int:
-    by_id = {s["span_id"]: s for s in spans}
-    depth = 0
-    seen = set()
-    current = record
-    while current.get("parent_id") in by_id and current["parent_id"] not in seen:
-        seen.add(current["parent_id"])
-        current = by_id[current["parent_id"]]
-        depth += 1
-    return depth

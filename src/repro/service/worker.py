@@ -54,14 +54,12 @@ from ..errors import JobCancelledError
 from ..estimation.adaptive import build_estimator
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from .jobs import Job
 from .store import SQLiteJobStore
 
 __all__ = ["WorkerPool"]
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _JOB_TIMER = _METRICS.timer("service_job_seconds")
 
@@ -71,7 +69,7 @@ _POPULATION_CACHE_SIZE = 8
 
 def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
     """One per-k live status record (field names match the
-    ``hyper_sample`` trace events and ``HyperSample.to_dict``)."""
+    ``estimator.hyper_sample`` span and ``HyperSample.to_dict``)."""
     fit = hs.fit
     return {
         "k": hs.index,
@@ -202,8 +200,6 @@ class WorkerPool:
         # every check/commit below must be against *this* attempt's.
         lease = job.lease
         active_key = (job.id, lease.token if lease is not None else None)
-        if _TRACER.enabled:
-            _TRACER.emit("job_start", job_id=job.id, circuit=job.spec.circuit)
         with self._busy_lock:
             self._busy += 1
             self._active[active_key] = (job, lease)
@@ -307,11 +303,6 @@ class WorkerPool:
                 **attrs,
             )
         _METRICS.counter("service_jobs_finished_total", state=state).inc()
-        if _TRACER.enabled:
-            payload = {"job_id": job.id, "state": state}
-            if error is not None:
-                payload["error"] = error
-            _TRACER.emit("job_end", **payload)
         if _SPANS.enabled and job.trace_id is not None:
             records = _SPANS.spans_for_trace(job.trace_id)
             if records:

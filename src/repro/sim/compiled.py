@@ -70,7 +70,6 @@ from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType, eval_gate_words
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 
 __all__ = [
     "CompiledPlan",
@@ -116,7 +115,6 @@ MAX_BATCH_ARITY = 8
 _CHARGE_ROW_BLOCK = 128
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _COMPILE_TIMER = _METRICS.timer("sim_compile_seconds")
 _COMPILE_TOTAL = _METRICS.counter("sim_compile_total")
@@ -957,7 +955,7 @@ def compile_plan(circuit: Circuit) -> CompiledPlan:
     any structural mutation), so all simulators sharing a circuit object
     — including every task of a worker process — reuse one plan.
     Compile time and cache hits are recorded in the ``sim_compile*``
-    metrics; a ``sim_compile`` trace event carries the batch layout.
+    metrics; a ``sim.compile`` span carries the batch layout.
     """
     built: List[float] = []
 
@@ -974,15 +972,6 @@ def compile_plan(circuit: Circuit) -> CompiledPlan:
         built.append(elapsed)
         _COMPILE_TOTAL.inc()
         _COMPILE_TIMER.observe(elapsed)
-        if _TRACER.enabled:
-            _TRACER.emit(
-                "sim_compile",
-                circuit=circuit.name,
-                num_gates=plan.num_gates,
-                num_batches=len(plan.batches),
-                depth=plan.depth,
-                seconds=elapsed,
-            )
         return plan
 
     plan = circuit.memo("compiled_plan", build)

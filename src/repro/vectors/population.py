@@ -33,7 +33,6 @@ import numpy as np
 from ..errors import PopulationError
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
-from ..obs.trace import get_tracer
 from .generators import RngLike, as_rng
 
 __all__ = [
@@ -52,7 +51,6 @@ PowerFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 DEFAULT_BUILD_CHUNK = 4096
 
 _METRICS = get_registry()
-_TRACER = get_tracer()
 _SPANS = get_span_recorder()
 _BUILD_TIMER = _METRICS.timer("population_build_seconds")
 _CHUNK_TIMER = _METRICS.timer("population_build_chunk_seconds")
@@ -331,6 +329,7 @@ class FinitePopulation(PowerPopulation):
             name=name,
             num_pairs=num_pairs,
             chunks=len(counts),
+            chunk_size=chunk_size,
             workers=workers,
         ) as span:
             start = time.perf_counter()
@@ -350,16 +349,6 @@ class FinitePopulation(PowerPopulation):
             span.set(seconds=elapsed)
         _BUILD_TIMER.observe(elapsed)
         _PAIRS_TOTAL.inc(num_pairs)
-        if _TRACER.enabled:
-            _TRACER.emit(
-                "population_build",
-                name=name,
-                num_pairs=num_pairs,
-                chunks=len(counts),
-                chunk_size=chunk_size,
-                workers=workers,
-                seconds=elapsed,
-            )
         meta = {"seed": seed, "chunk_size": chunk_size, **(metadata or {})}
         return cls(powers=powers, v1=v1, v2=v2, name=name, metadata=meta)
 

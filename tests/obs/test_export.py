@@ -194,34 +194,39 @@ class TestConvergenceReport:
         assert "wall-clock by phase:" in report
 
     def test_trace_section(self):
-        events = [
-            {"event": "run_start", "run_id": "run-1"},
-            {
-                "event": "hyper_sample",
-                "run_id": "run-1",
-                "k": 1,
-                "alpha": 3.0,
-                "rel_half_width": None,
-            },
-            {
-                "event": "hyper_sample",
-                "run_id": "run-1",
-                "k": 2,
-                "alpha": 4.0,
-                "rel_half_width": 0.04,
-            },
-            {
-                "event": "run_end",
-                "run_id": "run-1",
-                "converged": True,
-                "k": 2,
-                "units_used": 600,
-            },
+        def span(name, span_id, parent_id=None, start_ts=0.0, **attributes):
+            return {
+                "trace_id": "t" * 32, "span_id": span_id,
+                "parent_id": parent_id, "name": name, "start_ts": start_ts,
+                "duration_s": 0.1, "status": "ok", "attributes": attributes,
+            }
+
+        spans = [
+            span("estimator.hyper_sample", "h1", "r1", k=1, alpha=3.0,
+                 rel_half_width=None),
+            span("estimator.hyper_sample", "h2", "r1", k=2, alpha=4.0,
+                 rel_half_width=0.04),
+            span("mle.fit", "f1", "h1", alpha=3.0),
+            span("estimator.run", "r1", converged=True, k=2, units_used=600),
         ]
-        report = convergence_report(trace_events=events)
+        report = convergence_report(trace_events=spans)
         assert "runs: 1 (1 converged)" in report
         assert "hyper-samples: 2, fallbacks: 0" in report
         assert "run-1: rel CI half-width by k: -- 0.040" in report
+
+        # runs are numbered by start order, whatever the record order
+        spans.append(
+            span("estimator.run", "r0", start_ts=-1.0, converged=False,
+                 k=1, units_used=300)
+        )
+        spans.append(
+            span("estimator.hyper_sample", "h0", "r0", k=1, alpha=5.0,
+                 rel_half_width="nan")
+        )
+        report = convergence_report(trace_events=spans)
+        assert "runs: 2 (1 converged)" in report
+        assert "run-1: rel CI half-width by k: --\n" in report
+        assert "run-2: rel CI half-width by k: -- 0.040" in report
 
     def test_empty_inputs(self):
         report = convergence_report(snapshot={"counters": []})

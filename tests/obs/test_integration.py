@@ -3,11 +3,12 @@
 Covers the PR's acceptance criteria end to end:
 
 * disabling observability reproduces the seed estimates bit-for-bit;
-* a traced run emits one ``hyper_sample`` JSONL event per hyper-sample
-  carrying (k, fitted alpha/beta/mu or the fallback reason, the relative
-  CI half-width, and the cumulative unit count);
+* a traced run writes one ``estimator.hyper_sample`` span per
+  hyper-sample carrying (k, fitted alpha/beta/mu or the fallback reason,
+  the relative CI half-width, and the cumulative unit count);
 * metrics recorded inside ``run_many`` survive the process pool with
-  >= 2 workers and merge to the same totals as a serial run.
+  >= 2 workers and merge to the same totals as a serial run, and the
+  JSONL sink holds every pool run's spans exactly once.
 """
 
 import numpy as np
@@ -18,8 +19,10 @@ from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.estimation.parallel import hyper_sample_many, run_many
 from repro.evt.distributions import GeneralizedWeibull
 from repro.evt.mle import fit_weibull_mle
-from repro.obs import get_registry, get_tracer, load_trace
+from repro.obs import get_registry, get_span_recorder, load_trace
 from repro.vectors.population import FinitePopulation
+
+from ..estimation.faultlib import FaultyEstimator
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +46,9 @@ class TestNoOpIdentity:
         get_registry().enable()
         with_metrics = _run(estimator)
 
-        get_tracer().open(tmp_path / "run.jsonl")
+        get_span_recorder().open(tmp_path / "run.jsonl")
         with_trace = _run(estimator)
-        get_tracer().close()
+        get_span_recorder().close()
 
         for other in (with_metrics, with_trace):
             assert other.estimate == baseline.estimate
@@ -66,30 +69,33 @@ class TestNoOpIdentity:
             "timers": [],
             "histograms": [],
         }
-        assert get_tracer().recent() == []
+        assert get_span_recorder().snapshot() == []
+
+
+def _named(records, name):
+    return [r for r in records if r["name"] == name]
 
 
 class TestTraceSchema:
     def test_one_hyper_sample_event_per_iteration(self, estimator, tmp_path):
         path = tmp_path / "run.jsonl"
         get_registry().enable()
-        get_tracer().open(path)
+        get_span_recorder().open(path)
         result = _run(estimator)
-        get_tracer().close()
+        get_span_recorder().close()
 
-        events = load_trace(path)
-        hypers = [e for e in events if e["event"] == "hyper_sample"]
+        records = load_trace(path)
+        hypers = _named(records, "estimator.hyper_sample")
         assert len(hypers) == result.k
-        assert [e["k"] for e in hypers] == list(range(1, result.k + 1))
+        assert [h["attributes"]["k"] for h in hypers] == list(
+            range(1, result.k + 1)
+        )
 
-        run_starts = [e for e in events if e["event"] == "run_start"]
-        run_ends = [e for e in events if e["event"] == "run_end"]
-        assert len(run_starts) == len(run_ends) == 1
-        run_id = run_starts[0]["run_id"]
-
-        for e in hypers:
+        (run,) = _named(records, "estimator.run")
+        for h in hypers:
             # acceptance-criterion payload, field by field
-            assert e["run_id"] == run_id
+            assert h["parent_id"] == run["span_id"]
+            e = h["attributes"]
             assert isinstance(e["k"], int)
             assert isinstance(e["estimate"], float)
             assert isinstance(e["units_used"], int)
@@ -100,38 +106,59 @@ class TestTraceSchema:
                 assert isinstance(e["alpha"], float)
                 assert isinstance(e["beta"], float)
                 assert isinstance(e["mu"], float)
+                assert isinstance(e["shape_gt2"], bool)
             else:
                 assert e["alpha"] is None
             for stat in ("maxima_min", "maxima_mean", "maxima_max"):
                 assert isinstance(e[stat], float)
 
         # intervals start at min_hyper_samples; cumulative units ascend
-        assert hypers[0]["rel_half_width"] is None
-        cumulative = [e["cumulative_units"] for e in hypers]
+        attrs = [h["attributes"] for h in hypers]
+        assert attrs[0]["rel_half_width"] is None
+        cumulative = [a["cumulative_units"] for a in attrs]
         assert cumulative == sorted(cumulative)
         assert cumulative[-1] == result.units_used
 
-        end = run_ends[0]
+        # the run span carries the old run_start and run_end fields
+        end = run["attributes"]
+        assert end["population"] == "synthetic"
+        assert end["population_size"] == estimator.population.size
+        assert (end["n"], end["m"]) == (estimator.n, estimator.m)
+        assert end["error"] == estimator.error
+        assert end["confidence"] == estimator.confidence
+        assert end["min_hyper_samples"] == estimator.min_hyper_samples
+        assert end["max_hyper_samples"] == estimator.max_hyper_samples
+        assert end["finite_correction"] is True
         assert end["converged"] == result.converged
         assert end["k"] == result.k
         assert end["estimate"] == result.estimate
+        assert end["units_used"] == result.units_used
+        assert end["rel_half_width"] == result.rel_half_width
 
-    def test_ci_trajectory_matches_trace(self, estimator, tmp_path):
-        get_tracer().open(tmp_path / "run.jsonl")
+    def test_ci_trajectory_matches_trace(self, estimator):
+        spans = get_span_recorder()
+        spans.enable()
         result = _run(estimator)
-        get_tracer().close()
-        hypers = [
-            e for e in get_tracer().recent() if e["event"] == "hyper_sample"
-        ]
         traced = [
-            e["rel_half_width"]
-            for e in hypers
-            if e["rel_half_width"] is not None
+            h["attributes"]["rel_half_width"]
+            for h in _named(spans.snapshot(), "estimator.hyper_sample")
+            if h["attributes"]["rel_half_width"] is not None
         ]
         assert traced == pytest.approx(result.ci_trajectory)
         assert len(result.ci_trajectory) == result.k - (
             estimator.min_hyper_samples - 1
         )
+
+    def test_standalone_hyper_sample_has_no_run_fields(self, estimator):
+        spans = get_span_recorder()
+        spans.enable()
+        hs = estimator.hyper_sample(3, np.random.default_rng(0))
+        (record,) = _named(spans.snapshot(), "estimator.hyper_sample")
+        attrs = record["attributes"]
+        assert attrs["k"] == 3
+        assert attrs["estimate"] == hs.estimate
+        assert attrs["rel_half_width"] is None
+        assert attrs["cumulative_units"] is None
 
 
 class TestCrossProcessMerge:
@@ -185,12 +212,47 @@ class TestCrossProcessMerge:
         run_many(estimator, 2, base_seed=1, workers=2)
         assert registry.snapshot()["counters"] == []
 
+    def test_trace_file_holds_serial_and_pool_runs_once(
+        self, estimator, tmp_path
+    ):
+        # One serial run, then a forked pool: the children must neither
+        # re-write the parent's lines nor lose their own runs.
+        path = tmp_path / "run.jsonl"
+        get_span_recorder().open(path)
+        _run(estimator)
+        run_many(estimator, 4, base_seed=11, workers=2)
+        get_span_recorder().close()
+        records = load_trace(path)
+        span_ids = [r["span_id"] for r in records]
+        assert len(span_ids) == len(set(span_ids))
+        runs = _named(records, "estimator.run")
+        assert len(runs) == 5
+        for run in runs:
+            ks = [
+                h["attributes"]["k"]
+                for h in _named(records, "estimator.hyper_sample")
+                if h["parent_id"] == run["span_id"]
+            ]
+            assert ks == list(range(1, run["attributes"]["k"] + 1))
+
+    def test_serial_retry_leaves_task_retry_record(self, estimator):
+        spans = get_span_recorder()
+        spans.enable()
+        faulty = FaultyEstimator(estimator, crash_indices={1})
+        run_many(faulty, 3, base_seed=11, workers=1, retries=1, backoff=0.0)
+        (retry,) = _named(spans.snapshot(), "task_retry")
+        assert retry["duration_s"] == 0.0
+        attrs = retry["attributes"]
+        assert (attrs["kind"], attrs["index"], attrs["attempt"]) == ("run", 1, 0)
+        assert attrs["cause"] == "error"
+        assert "injected crash" in attrs["detail"]
+
 
 class TestMleInstrumentation:
     def test_fit_error_cause_counted_and_traced(self):
         registry = get_registry()
         registry.enable()
-        get_tracer().open()  # ring-only
+        get_span_recorder().enable()
         with pytest.raises(FitError) as excinfo:
             fit_weibull_mle(np.full(30, 2.0))  # degenerate: all equal
         cause = excinfo.value.cause
@@ -202,24 +264,32 @@ class TestMleInstrumentation:
             if c["name"] == "mle_fit_errors_total"
         }
         assert errors == {"degenerate": 1}
-        events = [
-            e for e in get_tracer().recent() if e["event"] == "mle_fit_error"
-        ]
-        assert len(events) == 1
-        assert events[0]["cause"] == "degenerate"
+        (fit,) = _named(get_span_recorder().snapshot(), "mle.fit")
+        assert fit["status"] == "error"
+        assert fit["attributes"]["cause"] == "degenerate"
+        assert str(excinfo.value) in fit["attributes"]["error"]
 
     def test_successful_fit_emits_mle_fit_event(self):
         registry = get_registry()
         registry.enable()
-        get_tracer().open()
+        get_span_recorder().enable()
         rng = np.random.default_rng(0)
         dist = GeneralizedWeibull.from_scale(alpha=4.0, scale=0.3, mu=1.0)
         x = dist.rvs(200, rng=rng)
         fit = fit_weibull_mle(x)
-        events = [e for e in get_tracer().recent() if e["event"] == "mle_fit"]
-        assert len(events) == 1
-        assert events[0]["alpha"] == pytest.approx(fit.alpha)
-        assert events[0]["m"] == 200
+        (span,) = _named(get_span_recorder().snapshot(), "mle.fit")
+        attrs = span["attributes"]
+        assert span["status"] == "ok"
+        assert attrs["alpha"] == pytest.approx(fit.alpha)
+        assert attrs["loglik"] == pytest.approx(fit.loglik)
+        assert attrs["method"] == "profile-mle"
+        assert attrs["shape_gt2"] == fit.shape_gt2
+        assert attrs["m"] == 200
+        for key in (
+            "grid_points", "grid_finite", "refine", "refine_accepted",
+            "bracket_lo", "bracket_hi", "mu_offset",
+        ):
+            assert key in attrs
         counters = {
             c["name"]: c["value"] for c in registry.snapshot()["counters"]
         }
@@ -232,17 +302,21 @@ class TestMleInstrumentation:
         est = MaxPowerEstimator(pop, error=0.05, confidence=0.90)
         registry = get_registry()
         registry.enable()
-        get_tracer().open(tmp_path / "run.jsonl")
+        get_span_recorder().open(tmp_path / "run.jsonl")
         result = _run(est)
-        get_tracer().close()
+        get_span_recorder().close()
         assert all(hs.fallback_reason for hs in result.hyper_samples)
+        records = load_trace(tmp_path / "run.jsonl")
         hypers = [
-            e
-            for e in load_trace(tmp_path / "run.jsonl")
-            if e["event"] == "hyper_sample"
+            h["attributes"] for h in _named(records, "estimator.hyper_sample")
         ]
-        assert all(e["fallback_reason"] for e in hypers)
-        assert all(e["alpha"] is None for e in hypers)
+        assert len(hypers) == result.k
+        assert all(h["fallback_reason"] for h in hypers)
+        assert all(h["alpha"] is None for h in hypers)
+        # each fallback follows a failed mle.fit child span
+        assert [f["status"] for f in _named(records, "mle.fit")] == (
+            ["error"] * result.k
+        )
         counters = {
             c["name"]: c["value"] for c in registry.snapshot()["counters"]
         }

@@ -1,13 +1,20 @@
 """Unit tests for the span layer: recorder, context propagation,
-traceparent parsing, and the presentation helpers."""
+traceparent parsing, the JSONL sink, attribute sanitization, and the
+presentation helpers."""
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import threading
+import time
 
+import numpy as np
 import pytest
 
+from repro.errors import ConfigError
+from repro.obs import load_trace
 from repro.obs.spans import (
     SpanContext,
     SpanRecorder,
@@ -187,27 +194,125 @@ class TestRecorder:
         assert r.spans_for_trace(f"{0:032x}") == []
         assert r.spans_for_trace(f"{2:032x}")
 
-    def test_span_emits_trace_event_when_tracer_enabled(self, tmp_path, recorder):
-        from repro.obs import get_tracer
-
-        tracer = get_tracer()
-        path = tmp_path / "trace.jsonl"
-        tracer.open(path)
-        try:
-            with recorder.span("traced"):
-                pass
-        finally:
-            tracer.close()
-        events = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        span_events = [e for e in events if e["event"] == "span"]
-        assert span_events and span_events[0]["name"] == "traced"
-
     def test_global_recorder_is_singleton(self):
         assert get_span_recorder() is get_span_recorder()
+
+
+class TestJsonlSink:
+    def test_open_enables_close_stops_writing(self, tmp_path):
+        r = SpanRecorder()
+        path = tmp_path / "t.jsonl"
+        r.open(path)
+        assert r.enabled
+        with r.span("traced"):
+            pass
+        r.close()
+        r.close()  # idempotent
+        assert r.enabled
+        with r.span("after"):  # after close: buffered, not written
+            pass
+        assert [s["name"] for s in load_trace(path)] == ["traced"]
+        assert [s["name"] for s in r.snapshot()] == ["traced", "after"]
+
+    def test_finished_spans_stream_to_file_and_parse(self, tmp_path):
+        r = SpanRecorder()
+        path = tmp_path / "run.jsonl"
+        r.open(path)
+        with r.span("estimator.run", population="c17"):
+            with r.span("estimator.hyper_sample", k=1) as span:
+                span.set(alpha=3.2)
+        r.emit("task_retry", kind="run", index=0)
+        r.close()
+        records = load_trace(path)
+        # one line per finished span, in completion order, exactly the
+        # buffered records
+        assert [s["name"] for s in records] == [
+            "estimator.hyper_sample", "estimator.run", "task_retry",
+        ]
+        assert records == r.snapshot()
+        hyper, run, retry = records
+        assert hyper["parent_id"] == run["span_id"]
+        assert hyper["attributes"] == {"k": 1, "alpha": 3.2}
+        assert run["attributes"] == {"population": "c17"}
+        assert retry["duration_s"] == 0.0
+        for record in records:
+            assert isinstance(record["start_ts"], float)
+
+    def test_each_line_reaches_the_file_before_close(self, tmp_path):
+        # A process forked mid-run must inherit no pending lines.
+        r = SpanRecorder()
+        path = tmp_path / "t.jsonl"
+        r.open(path)
+        with r.span("first"):
+            pass
+        assert path.read_text().count("\n") == 1
+        r.close()
+
+    def test_merged_spans_are_written(self, tmp_path, recorder):
+        with recorder.span("child-side"):
+            pass
+        shipped = recorder.snapshot(reset=True)
+        parent = SpanRecorder()
+        path = tmp_path / "t.jsonl"
+        parent.open(path)
+        parent.merge(shipped)
+        parent.close()
+        assert load_trace(path) == shipped
+
+    def test_load_trace_rejects_garbage(self, tmp_path, recorder):
+        with recorder.span("ok"):
+            pass
+        good = json.dumps(recorder.snapshot()[0])
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\nnot json\n")
+        with pytest.raises(ConfigError, match="bad.jsonl:2"):
+            load_trace(path)
+        path.write_text('["no", "span", "keys"]\n')
+        with pytest.raises(ConfigError, match="not a span record"):
+            load_trace(path)
+        # the line format of traces written before 2.0.0
+        path.write_text('{"ts": 1.0, "event": "hyper_sample", "k": 1}\n')
+        with pytest.raises(ConfigError, match="bad.jsonl:1: .*not a span record"):
+            load_trace(path)
+
+
+class TestSanitization:
+    def _attributes(self, recorder, **attributes):
+        with recorder.span("s", **attributes):
+            pass
+        return recorder.snapshot()[0]["attributes"]
+
+    def test_numpy_scalars_and_arrays(self, recorder):
+        a = self._attributes(
+            recorder,
+            alpha=np.float64(3.5),
+            k=np.int64(4),
+            maxima=np.array([1.0, 2.0]),
+        )
+        assert a["alpha"] == 3.5 and isinstance(a["alpha"], float)
+        assert a["k"] == 4 and isinstance(a["k"], int)
+        assert a["maxima"] == [1.0, 2.0]
+        json.dumps(a)  # fully JSON-able
+
+    def test_nonfinite_floats_become_strings(self, recorder, tmp_path):
+        recorder.open(tmp_path / "t.jsonl")
+        a = self._attributes(recorder, a=math.nan, b=math.inf, c=-math.inf)
+        recorder.close()
+        assert (a["a"], a["b"], a["c"]) == ("nan", "inf", "-inf")
+
+        def reject(constant):
+            raise AssertionError(f"non-strict JSON literal {constant}")
+
+        # the file stays strict-JSON parseable
+        (line,) = (tmp_path / "t.jsonl").read_text().splitlines()
+        json.loads(line, parse_constant=reject)
+
+    def test_unknown_objects_fall_back_to_str(self, recorder):
+        class Weird:
+            def __repr__(self):
+                return "<weird>"
+
+        assert self._attributes(recorder, obj=Weird())["obj"] == "<weird>"
 
 
 class TestPresentation:
@@ -249,3 +354,38 @@ class TestPresentation:
 
     def test_waterfall_empty(self):
         assert render_span_waterfall([]) == "(no spans)"
+
+
+def _synthetic_trace(num_spans: int) -> list:
+    """One estimator run: a root, then (hyper-sample, fit) pairs."""
+    trace_id = new_trace_id()
+    root = {
+        "trace_id": trace_id, "span_id": new_span_id(), "parent_id": None,
+        "name": "estimator.run", "start_ts": 0.0,
+        "duration_s": float(num_spans), "status": "ok", "attributes": {},
+    }
+    spans = [root]
+    for k in range(1, num_spans // 2 + 1):
+        hyper = dict(root, span_id=new_span_id(), parent_id=root["span_id"],
+                     name="estimator.hyper_sample", start_ts=float(k),
+                     duration_s=1.0, attributes={"k": k})
+        fit = dict(hyper, span_id=new_span_id(), parent_id=hyper["span_id"],
+                   name="mle.fit", attributes={"m": 10})
+        spans.extend([hyper, fit])
+    return spans[:num_spans]
+
+
+def test_waterfall_render_scales_near_linearly():
+    # Up to the per-trace cap of 8,192 spans: 4x the spans should take
+    # about 4x the time; a quadratic render takes 16x.  Best of 3, with
+    # the sizes alternated so a drift in host speed hits both alike.
+    traces = {n: _synthetic_trace(n) for n in (2_048, 8_192)}
+    times = {n: [] for n in traces}
+    for _ in range(3):
+        for n, spans in traces.items():
+            gc.collect()
+            start = time.perf_counter()
+            render_span_waterfall(spans)
+            times[n].append(time.perf_counter() - start)
+    best = {n: min(samples) for n, samples in times.items()}
+    assert best[8_192] / best[2_048] <= 7, times

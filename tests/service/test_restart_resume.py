@@ -18,6 +18,7 @@ import pytest
 from repro.api import EstimatorConfig, build_population, run_many
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.obs.metrics import get_registry
+from repro.obs.spans import get_span_recorder
 from repro.service import Client, JobServer
 from repro.service.jobs import JobSpec, JobState
 from repro.service.store import SQLiteJobStore
@@ -28,13 +29,18 @@ REPLICA = "r0"
 
 @pytest.fixture
 def restartable(tmp_path):
-    """State dir + registry babysitting for start/kill/start tests."""
+    """State dir + registry/span babysitting for start/kill/start tests."""
     registry = get_registry()
+    spans = get_span_recorder()
     was_enabled = registry.enabled
+    spans_enabled = spans.enabled
     yield tmp_path / "state"
     if not was_enabled:
         registry.disable()
         registry.reset()
+    if not spans_enabled:
+        spans.disable()
+        spans.reset()
 
 
 def start_server(state_dir) -> JobServer:

@@ -251,7 +251,7 @@ class TestCommands:
     def test_estimate_with_trace_and_metrics(self, tmp_path, capsys):
         import json
 
-        from repro.obs import get_registry, load_trace
+        from repro.obs import get_registry, get_span_recorder, load_trace
 
         trace = tmp_path / "run.jsonl"
         metrics = tmp_path / "metrics.json"
@@ -273,15 +273,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "trace written to" in err
         assert "metrics written to" in err
-        events = load_trace(trace)
-        assert any(e["event"] == "hyper_sample" for e in events)
-        assert any(e["event"] == "run_end" for e in events)
+        spans = load_trace(trace)
+        assert any(s["name"] == "estimator.hyper_sample" for s in spans)
+        assert any(
+            s["name"] == "estimator.run" and "converged" in s["attributes"]
+            for s in spans
+        )
         snap = json.loads(metrics.read_text())
         names = {c["name"] for c in snap["counters"]}
         assert "estimator_runs_total" in names
         assert "estimator_units_total" in names
         # the CLI session restores the globally-disabled default
         assert not get_registry().enabled
+        spans = get_span_recorder()
+        assert not spans.enabled
+        # the sink is closed: nothing more reaches the trace file
+        lines = trace.read_text()
+        spans.enable()
+        try:
+            spans.emit("after")
+        finally:
+            spans.disable()
+            spans.reset()
+        assert trace.read_text() == lines
 
     def test_estimate_metrics_prom_format(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.prom"
@@ -307,7 +321,32 @@ class TestCommands:
         monkeypatch.setenv("REPRO_TRACE", str(trace))
         rc = main(["estimate", "c432", "--population", "1500", "--seed", "3"])
         assert rc == 0
-        assert load_trace(trace)
+        assert any(s["name"] == "estimator.run" for s in load_trace(trace))
+
+    def test_unwritable_trace_path_fails_before_compute(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.jsonl"
+        rc = main(
+            ["estimate", "c432", "--population", "1500", "--trace", str(trace)]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write trace to {trace}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # nothing was estimated
+
+    def test_unwritable_metrics_path_fails_before_compute(self, tmp_path, capsys):
+        from repro.obs import get_registry
+
+        metrics = tmp_path / "missing" / "m.json"
+        rc = main(
+            ["estimate", "c432", "--population", "1500", "--metrics", str(metrics)]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write metrics to {metrics}")
+        assert "metrics written" not in captured.err
+        assert captured.out == ""  # nothing was estimated
+        assert not get_registry().enabled
 
     def test_report_metrics_on_trace_and_snapshot(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
