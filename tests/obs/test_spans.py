@@ -194,6 +194,26 @@ class TestRecorder:
         assert r.spans_for_trace(f"{0:032x}") == []
         assert r.spans_for_trace(f"{2:032x}")
 
+    def test_span_emits_trace_event_when_tracer_enabled(self, tmp_path, recorder):
+        # The trace file is the recorder's own sink: a span finished
+        # while recording but before the sink opens is buffered only.
+        with recorder.span("untraced"):
+            pass
+        path = tmp_path / "trace.jsonl"
+        recorder.open(path)
+        try:
+            with recorder.span("traced"):
+                pass
+        finally:
+            recorder.close()
+        events = [
+            json.loads(line)
+            for line in path.read_text().splitlines()
+            if line.strip()
+        ]
+        assert [e["name"] for e in events] == ["traced"]
+        assert [s["name"] for s in recorder.snapshot()] == ["untraced", "traced"]
+
     def test_global_recorder_is_singleton(self):
         assert get_span_recorder() is get_span_recorder()
 
