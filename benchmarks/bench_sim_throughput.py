@@ -1,12 +1,11 @@
 """Simulator throughput — what makes 2500-unit estimation cheap.
 
 Measures pairs/second of the three power-simulation paths on one suite
-circuit, plus the compiled-vs-interpreted kernel A/B on unit-delay
-population builds (the artifact behind ``BENCH_5.json``) and the
-three-tier kernel A/B (the artifact behind ``BENCH_10.json``).  The
-bit-parallel paths are what let the experiment harness simulate
-10^5-pair populations in seconds; the event-driven path is the
-reference semantics.
+circuit, plus the A/B of the two unit-delay tiers — the numpy loop of a
+host without a C compiler vs the C loop (the artifact behind
+``BENCH_10.json``).  The bit-parallel paths are what let the experiment
+harness simulate 10^5-pair populations in seconds; the event-driven
+path is the reference semantics.
 """
 
 import json
@@ -17,25 +16,13 @@ import numpy as np
 import pytest
 
 from repro.netlist.generators import build_circuit
-from repro.sim.native import backend_name, native_available
+from repro.sim.compiled import resolve_kernel
+from repro.sim.native import backend_name, native_available, reset_backend
 from repro.sim.power import PowerAnalyzer
-from repro.vectors.generators import random_vector_pairs
-from repro.vectors.population import FinitePopulation
 
 CIRCUIT = "c880"
 PAIRS_FAST = 4096
 PAIRS_EVENT = 32
-
-# Kernel A/B workload per scale tier: (circuit, num_pairs).  The smoke
-# tier keeps the interpreter's share of the run in CI seconds; ci/paper
-# use the largest suite circuit (c7552, 3512 gates), where the active
-# wavefront is a small fraction of the gate count and the compiled
-# kernel's scheduling pays off most.
-AB_WORKLOADS = {
-    "smoke": ("c880", 2048),
-    "ci": ("c7552", 8192),
-    "paper": ("c7552", 16384),
-}
 
 
 @pytest.fixture(scope="module")
@@ -71,66 +58,7 @@ def test_throughput_event_driven(benchmark, workload):
     assert powers.shape == (PAIRS_EVENT,)
 
 
-def test_kernel_ab_population_build(results_dir):
-    """Compiled vs interpreted kernel on a unit-delay population build.
-
-    Builds the same pool twice through :meth:`FinitePopulation.build`
-    (the production path: chunked pair generation + PowerAnalyzer), once
-    per kernel.  Asserts the pools are bit-identical — the compiled
-    kernel must be a pure speedup, not an approximation — and records
-    the A/B as ``BENCH_5.json``.  The compiled timing includes plan
-    compilation (amortized over the whole build, as in production).
-    """
-    scale = os.environ.get("REPRO_SCALE", "smoke").lower()
-    circuit_name, num_pairs = AB_WORKLOADS.get(scale, AB_WORKLOADS["smoke"])
-    circuit = build_circuit(circuit_name)
-
-    def build(kernel):
-        analyzer = PowerAnalyzer(circuit, mode="unit", kernel=kernel)
-        start = time.perf_counter()
-        pop = FinitePopulation.build(
-            lambda n, rng: random_vector_pairs(n, circuit.num_inputs, rng),
-            analyzer.powers_for_pairs,
-            num_pairs=num_pairs,
-            seed=5,
-            name=f"{circuit_name}-{kernel}",
-        )
-        return pop, time.perf_counter() - start
-
-    pop_interp, interp_s = build("interp")
-    pop_compiled, compiled_s = build("compiled")
-
-    assert np.array_equal(pop_compiled.powers, pop_interp.powers), (
-        "compiled kernel changed population powers"
-    )
-    speedup = interp_s / compiled_s
-    payload = {
-        "benchmark": "sim_kernel_ab",
-        "circuit": circuit_name,
-        "scale": scale,
-        "num_pairs": num_pairs,
-        "mode": "unit",
-        "interp_seconds": interp_s,
-        "compiled_seconds": compiled_s,
-        "interp_pairs_per_s": num_pairs / interp_s,
-        "compiled_pairs_per_s": num_pairs / compiled_s,
-        "speedup": speedup,
-        "powers_bit_identical": True,
-    }
-    (results_dir / "BENCH_5.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    print(
-        f"\n{circuit_name} unit-delay build, {num_pairs} pairs: "
-        f"interp {interp_s:.2f}s, compiled {compiled_s:.2f}s "
-        f"({speedup:.1f}x)"
-    )
-    # Guard against regressions without being flaky on shared CI boxes;
-    # the committed BENCH_5.json records the measured ratio.
-    assert speedup >= 1.0, f"compiled kernel slower than interp ({speedup:.2f}x)"
-
-
-# Three-tier workload per scale: (circuit, num_pairs, timed trials).
+# Tier A/B workload per scale: (circuit, num_pairs, timed trials).
 # Timings take the min over trials — the boxes this runs on are noisy
 # and the minimum is the least-contended estimate of the true cost.
 TIER_WORKLOADS = {
@@ -150,12 +78,14 @@ def _min_time(fn, trials):
 
 
 def test_kernel_tier_ab(results_dir):
-    """Interp vs compiled vs native on one unit-delay workload.
+    """The numpy loop (no C compiler) vs the C loop on one unit-delay
+    workload.
 
     Times ``powers_for_pairs`` on the same packed workload (same seed)
-    per kernel tier and asserts all tiers produce float-identical
-    powers — the native tier must be a pure speedup.  The timings land
-    in ``BENCH_10.json``.
+    on each tier and asserts both produce float-identical powers — the
+    C loop must be a pure speedup.  The numpy side stands in for a
+    host without a compiler (``REPRO_NATIVE_CC`` points nowhere), so it
+    also charges in numpy.  The timings land in ``BENCH_10.json``.
     """
     scale = os.environ.get("REPRO_SCALE", "smoke").lower()
     circuit_name, num_pairs, trials = TIER_WORKLOADS.get(
@@ -166,30 +96,26 @@ def test_kernel_tier_ab(results_dir):
     v1 = rng.integers(0, 2, size=(num_pairs, circuit.num_inputs), dtype=np.uint8)
     v2 = rng.integers(0, 2, size=(num_pairs, circuit.num_inputs), dtype=np.uint8)
 
-    have_native = native_available()
-    tiers = ["interp", "compiled"] + (["native"] if have_native else [])
-    tier_results = {}
-    reference = None
-    for tier in tiers:
-        analyzer = PowerAnalyzer(circuit, mode="unit", kernel=tier)
+    def measure(tier):
+        assert resolve_kernel() == tier
+        analyzer = PowerAnalyzer(circuit, mode="unit")
         powers = analyzer.powers_for_pairs(v1, v2)  # warm-up + identity
-        if reference is None:
-            reference = powers
-        else:
-            assert np.array_equal(reference, powers), (
-                f"{tier} kernel changed powers"
-            )
-        # The interpreter is ~50x slower; one timed trial is plenty for
-        # a tier that only provides the reference point.
-        n = 1 if tier == "interp" else trials
-        seconds = _min_time(lambda: analyzer.powers_for_pairs(v1, v2), n)
-        tier_results[tier] = {
-            "seconds": seconds,
-            "pairs_per_s": num_pairs / seconds,
-        }
+        seconds = _min_time(lambda: analyzer.powers_for_pairs(v1, v2), trials)
+        return powers, {"seconds": seconds, "pairs_per_s": num_pairs / seconds}
 
+    tier_results = {}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
+            reset_backend()
+            reference, tier_results["compiled"] = measure("compiled")
+    finally:
+        reset_backend()
+    have_native = native_available()
     native_speedup = None
     if have_native:
+        powers, tier_results["native"] = measure("native")
+        assert np.array_equal(reference, powers), "C loop changed powers"
         native_speedup = (
             tier_results["compiled"]["seconds"]
             / tier_results["native"]["seconds"]

@@ -184,8 +184,8 @@ def _init_worker(
 ) -> None:
     global _WORKER_ESTIMATOR
     # Unpickling the estimator here rebuilds its BitParallelSimulator,
-    # which (on the default kernel) compiles the circuit's struct-of-
-    # arrays plan exactly once per worker process; every task dispatched
+    # which compiles the circuit's struct-of-arrays plan exactly once
+    # per worker process; every task dispatched
     # to this process then reuses that plan through the circuit's memo
     # cache instead of re-freezing the netlist per task.
     _WORKER_ESTIMATOR = estimator

@@ -246,16 +246,6 @@ class Circuit:
             self._cache[key] = value
         return value
 
-    def memo_discard(self, key: str) -> bool:
-        """Drop one memoized entry (if present) without touching the rest.
-
-        Lets external caches bound their memory (e.g. the compiled-plan
-        LRU evicting a cold circuit's plan) while the circuit and its
-        other derived views stay valid.  Returns whether an entry was
-        removed.
-        """
-        return self._cache.pop(key, None) is not None
-
     def __getstate__(self) -> Dict[str, object]:
         # Derived views (and memoized plans) can be large and are cheap
         # to rebuild; ship only the structural state.  A worker process

@@ -628,8 +628,6 @@ class JobServer:
         kernel = info["active"]
         if info["backend"]:
             kernel += f"/{info['backend']}"
-        if info["fallback"]:
-            kernel += " (native requested, no accelerator)"
         return (
             f"served {sum(counts.values())} job(s) in {uptime:.1f}s "
             f"({finished} finished: "

@@ -37,8 +37,8 @@ build arguments) so repeated jobs against the same circuit skip the
 simulation of tens of thousands of vector pairs.  The cache key includes
 the build seed, so it can never alias two different populations.  A
 population build simulates on the worker thread that claimed the job;
-the native kernel releases the GIL, so two workers' kernel calls run at
-the same time.
+the C wavefront loop releases the GIL, so two workers' simulation calls
+run at the same time.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@
 * :class:`~repro.sim.bitsim.BitParallelSimulator` — 64-lanes-per-word
   vectorized simulation for population-scale work.
 * :class:`~repro.sim.compiled.CompiledPlan` — the struct-of-arrays
-  batch plan behind the bit-parallel simulator's default kernel.
+  batch plan behind the bit-parallel simulator.
 * :class:`~repro.sim.power.PowerAnalyzer` — cycle-based power (the
   paper's PowerMill substitute).
 * :class:`~repro.sim.sta.StaticTimingAnalyzer` — longest-path timing.

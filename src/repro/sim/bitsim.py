@@ -17,15 +17,14 @@ each ``uint64`` and evaluates whole nets with numpy bitwise ops:
   so hazard (glitch) activity is captured, exactly like an event-driven
   unit-delay simulator but orders of magnitude faster in Python.
 
-Two kernels implement these semantics.  The default **compiled**
-kernel (:mod:`repro.sim.compiled`) lowers the circuit once into flat
-struct-of-arrays batches — one fancy-indexed gather plus one bitwise
-reduction evaluates all same-shaped gates of a level, and the
-unit-delay loop re-evaluates only batches whose fanin cone changed.
-The legacy **interpreted** kernel (per-gate ``eval_gate_words`` calls)
-is retained behind ``REPRO_SIM_KERNEL=interp`` for A/B benchmarking and
-differential testing; the two produce bit-identical states and toggle
-counts and float-identical energies.
+A circuit is lowered once into a
+:class:`~repro.sim.compiled.CompiledPlan` — flat struct-of-arrays
+batches: one fancy-indexed gather plus one bitwise reduction evaluates
+all same-shaped gates of a level, and the unit-delay loop re-evaluates
+only gates whose fanin changed.  The unit-delay loop itself runs in C
+(:mod:`repro.sim.native`) when the C library loads on this host, and in
+numpy otherwise; both produce bit-identical toggle counts and
+float-identical energies.
 
 Packing helpers convert between ``(num_vectors, num_inputs)`` bit
 matrices and the ``(num_inputs, num_words)`` lane layout.
@@ -40,18 +39,14 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
-from ..netlist.gates import GateType, eval_gate_words
 from .compiled import (
-    CompiledPlan,
-    accumulate_planes,
     charge_planes,
     charge_rows,
-    make_planes,
     compile_plan,
     lane_mask,
     popcount_rows,
-    resolve_kernel,
 )
+from .native import load_backend, unit_delay_planes_native
 
 __all__ = [
     "BitParallelSimulator",
@@ -59,17 +54,13 @@ __all__ = [
     "unpack_vectors",
 ]
 
-# Back-compat alias: sibling modules import the lane-mask helper from
-# here (the implementation moved to repro.sim.compiled).
-_lane_mask = lane_mask
-
 #: Lanes processed per unit-delay block.  Blocking keeps the per-block
 #: transients (state copy, bit-plane counters) cache-sized while still
 #: amortizing per-step call overhead over wide words; 4096 lanes is at
 #: or near the minimum of the kernels' cost curves on the deep suite
 #: circuits.  Lanes are independent, so blocking cannot change any
 #: toggle count; it only groups the floating-point partial sums of the
-#: final charge, and every tier shares this one split.
+#: final charge, and both wavefront loops share this one split.
 _UNIT_LANE_BLOCK = 4096
 
 
@@ -102,75 +93,33 @@ def unpack_vectors(words: np.ndarray, num_lanes: int) -> np.ndarray:
     return bits[:, :num_lanes].T.copy()
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Total set bits in a uint64 array (batched popcount underneath)."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    return int(popcount_rows(words.reshape(1, -1))[0])
-
-
-def _unpack_lanes(words: np.ndarray, num_lanes: int) -> np.ndarray:
-    """uint64 word array -> uint8 0/1 array of length num_lanes."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:num_lanes]
-
-
 class BitParallelSimulator:
     """Levelized bit-parallel simulator for one circuit.
 
-    The constructor freezes the circuit structure into flat arrays so
-    the per-call hot loops touch no Python dictionaries.  With the
-    default ``compiled`` kernel the frozen form is a cached
+    The constructor freezes the circuit structure into a cached
     :class:`~repro.sim.compiled.CompiledPlan` shared by every simulator
-    (and every worker-process task) using the same circuit object;
-    ``kernel="interp"`` (or ``REPRO_SIM_KERNEL=interp``) selects the
-    legacy per-gate interpreter instead.
+    (and every worker-process task) using the same circuit object, so
+    the per-call hot loops touch no Python dictionaries.
     """
 
-    def __init__(self, circuit: Circuit, kernel: Optional[str] = None):
+    def __init__(self, circuit: Circuit):
         circuit.validate()
         self.circuit = circuit
-        # probe=True: a "native" request degrades to "compiled" here
-        # (once, logged + metric-counted) when no accelerator backend
-        # is available, so construction never fails on a capable-but-
-        # unaccelerated host.
-        self._kernel = resolve_kernel(kernel, probe=True)
         self._net_index: Dict[str, int] = {
             net: i for i, net in enumerate(circuit.nets)
         }
         self.num_nets = len(self._net_index)
         self.num_inputs = circuit.num_inputs
-        self._plan: Optional[CompiledPlan] = None
-        self._ops: List[Tuple[int, GateType, Tuple[int, ...]]] = []
-        if self._kernel in ("compiled", "native"):
-            self._plan = compile_plan(circuit)
-        else:
-            for name in circuit.topological_order():
-                gate = circuit.gate(name)
-                self._ops.append(
-                    (
-                        self._net_index[name],
-                        gate.gtype,
-                        tuple(self._net_index[f] for f in gate.fanin),
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    @property
-    def kernel(self) -> str:
-        """Active simulation kernel: ``"native"``, ``"compiled"`` or
-        ``"interp"`` (a ``"native"`` request with no accelerator
-        backend reports the ``"compiled"`` tier it degraded to)."""
-        return self._kernel
+        self._plan = compile_plan(circuit)
 
     def __getstate__(self) -> Dict[str, object]:
-        # Plans and frozen op lists are derived data: ship only the
-        # circuit and the kernel choice.  Unpickling re-freezes once —
-        # so a process-pool worker compiles the plan once per process
-        # (in the initializer), never per task.
-        return {"circuit": self.circuit, "kernel": self._kernel}
+        # The plan is derived data: ship only the circuit.  Unpickling
+        # re-freezes once — so a process-pool worker compiles the plan
+        # once per process (in the initializer), never per task.
+        return {"circuit": self.circuit}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(state["circuit"], kernel=state["kernel"])
+        self.__init__(state["circuit"])
 
     # ------------------------------------------------------------------
     def net_index(self, net: str) -> int:
@@ -202,32 +151,7 @@ class BitParallelSimulator:
             ``(num_nets, num_words)`` uint64 array; rows follow
             :attr:`net_order`.
         """
-        if self._plan is not None:
-            return self._plan.steady_state(input_words, num_lanes)
-        input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
-        num_words = input_words.shape[-1]
-        if num_lanes > num_words * 64:
-            raise SimulationError("num_lanes exceeds word capacity")
-        return self._settle_interp(
-            input_words, lane_mask(num_lanes, num_words)
-        )
-
-    def _settle_interp(
-        self, input_words: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Interpreted zero-delay settle of every net in ``mask``'s lanes."""
-        if input_words.shape[0] != self.num_inputs:
-            raise SimulationError(
-                f"expected {self.num_inputs} input rows, "
-                f"got {input_words.shape[0]}"
-            )
-        state = np.empty((self.num_nets, mask.shape[0]), dtype=np.uint64)
-        state[: self.num_inputs] = input_words & mask
-        for out_idx, gtype, fanin in self._ops:
-            state[out_idx] = eval_gate_words(
-                gtype, [state[i] for i in fanin], mask
-            )
-        return state
+        return self._plan.steady_state(input_words, num_lanes)
 
     # ------------------------------------------------------------------
     def toggle_energy_zero_delay(
@@ -243,8 +167,8 @@ class BitParallelSimulator:
         Returns a float64 array of length ``num_lanes`` holding
         ``sum_net cap[net] * [net toggles in lane]``.  All changed rows
         are charged with one stacked unpack + matmul (see
-        :func:`repro.sim.compiled.charge_rows`); both kernels share the
-        exact accumulation order, so energies are float-identical.
+        :func:`repro.sim.compiled.charge_rows`) in ascending net order, so
+        the float accumulation order is fixed.
         """
         s1 = self.steady_state(v1_words, num_lanes)
         s2 = self.steady_state(v2_words, num_lanes)
@@ -280,13 +204,13 @@ class BitParallelSimulator:
         Synchronous relaxation: step *t* evaluates gates from the
         values of step *t-1*.  Stops when globally stable.  The lanes
         are split into ``_UNIT_LANE_BLOCK``-lane blocks; per block the
-        tier's integer phase fills packed bit-plane toggle counters
-        (:meth:`~repro.sim.compiled.CompiledPlan.unit_delay_planes`,
-        :func:`~repro.sim.native.unit_delay_planes_native`, or the
-        interpreter, which re-evaluates every gate each step) and one
-        shared :func:`~repro.sim.compiled.charge_planes` call charges
-        them.  Every tier sees the same blocks and the same charge, so
-        their energies are float-identical.
+        integer phase fills packed bit-plane toggle counters — the C
+        loop (:func:`~repro.sim.native.unit_delay_planes_native`) when
+        the C library loads on this host, else the numpy loop
+        (:meth:`~repro.sim.compiled.CompiledPlan.unit_delay_planes`) —
+        and one shared :func:`~repro.sim.compiled.charge_planes` call
+        charges them.  Both loops see the same blocks and the same
+        charge, so their energies are float-identical.
 
         Raises
         ------
@@ -295,20 +219,12 @@ class BitParallelSimulator:
             to circuit depth + 4) — impossible for an acyclic circuit,
             so it guards against internal errors.
         """
-        if self._kernel == "native":
-            from .native import unit_delay_planes_native
-
+        if load_backend() is not None:
             block_planes = partial(unit_delay_planes_native, self._plan)
-        elif self._plan is not None:
-            block_planes = self._plan.unit_delay_planes
         else:
-            block_planes = self._unit_delay_planes_interp
+            block_planes = self._plan.unit_delay_planes
         if max_steps is None:
-            depth = (
-                self._plan.depth if self._plan is not None
-                else self.circuit.depth()
-            )
-            max_steps = depth + 4
+            max_steps = self._plan.depth + 4
         caps = np.asarray(net_caps, dtype=np.float64)
         v1_words = np.ascontiguousarray(v1_words, dtype=np.uint64)
         v2_words = np.ascontiguousarray(v2_words, dtype=np.uint64)
@@ -321,55 +237,10 @@ class BitParallelSimulator:
                 v1_words[:, ws], v2_words[:, ws], mask, max_steps
             )
             energy[lo:hi] = charge_planes(planes, caps, hi - lo, planes_used)
-            # Drop the plane views before the next block, so the native
-            # tier reuses its per-thread plane buffer.
+            # Drop the plane views before the next block, so the C loop
+            # reuses its per-thread plane buffer.
             del planes
         return energy
-
-    def _unit_delay_planes_interp(
-        self,
-        v1_words: np.ndarray,
-        v2_words: np.ndarray,
-        mask: np.ndarray,
-        max_steps: int,
-    ) -> Tuple[List[np.ndarray], int]:
-        """Interpreted integer phase of one unit-delay block: every gate
-        is re-evaluated each step (cf.
-        :meth:`~repro.sim.compiled.CompiledPlan.unit_delay_planes`)."""
-        state = self._settle_interp(v1_words, mask)
-        num_words = state.shape[1]
-        planes = make_planes(self.num_nets, num_words, max_steps + 1)
-
-        # Input transitions.
-        v2_masked = v2_words & mask
-        in_diff = state[: self.num_inputs] ^ v2_masked
-        ch = np.flatnonzero(in_diff.any(axis=1))
-        planes_used = accumulate_planes(planes, ch, in_diff[ch])
-        state[: self.num_inputs] = v2_masked
-
-        # Double buffer: input rows are identical in both buffers and
-        # the loop rewrites every gate row, so one initial copy suffices.
-        prev = state
-        cur = state.copy()
-        for _step in range(max_steps):
-            for out_idx, gtype, fanin in self._ops:
-                cur[out_idx] = eval_gate_words(
-                    gtype, [prev[i] for i in fanin], mask
-                )
-            diff = prev[self.num_inputs :] ^ cur[self.num_inputs :]
-            changed = np.flatnonzero(diff.any(axis=1))
-            if changed.size == 0:
-                return planes, planes_used
-            planes_used = max(
-                planes_used,
-                accumulate_planes(
-                    planes, changed + self.num_inputs, diff[changed]
-                ),
-            )
-            prev, cur = cur, prev
-        raise SimulationError(
-            "unit-delay simulation did not stabilize — invariant broken"
-        )
 
     # ------------------------------------------------------------------
     def output_values(

@@ -36,36 +36,32 @@ into flat numpy plan arrays:
   toggles ripple-carry into packed bit-plane counters
   (:func:`accumulate_planes`) entirely in the uint64 lane domain, and
   a final per-plane ``2^k * (caps @ bits)`` charge
-  (:func:`charge_planes`) yields the energy.  The same helpers, fed
-  rows in the same ascending-net-index order, are used by the
-  interpreted path in :mod:`repro.sim.bitsim`, so the two kernels
-  produce *float-identical* energies (and bit-identical states and
-  toggle counts) — asserted pair-by-pair in the differential suite.
+  (:func:`charge_planes`) yields the energy.
 
 Plans are cached on the circuit itself (via
 :meth:`~repro.netlist.circuit.Circuit.memo`, invalidated on mutation),
 so every :class:`~repro.sim.bitsim.BitParallelSimulator`,
 :class:`~repro.sim.power.PowerAnalyzer` and worker process sharing a
 circuit object reuses one compiled plan instead of re-freezing per
-task.  Kernel selection is controlled by the ``REPRO_SIM_KERNEL``
-environment variable (``compiled`` — the default — or ``interp`` for
-the legacy per-gate interpreter, kept for A/B benchmarking and
-differential testing).
+task; a plan lives exactly as long as its circuit.
+
+The simulation tier is a property of the host, not a setting: a
+unit-delay block runs the C wavefront loop of :mod:`repro.sim.native`
+when its library loads, and :meth:`CompiledPlan.unit_delay_planes`
+otherwise.  Both fill the same bit-plane counters and charge them
+through :func:`charge_planes`, so energies are bit-identical across
+hosts.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, SimulationError
+from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType, eval_gate_words
 from ..obs.metrics import get_registry
@@ -76,42 +72,23 @@ __all__ = [
     "compile_plan",
     "resolve_kernel",
     "kernel_info",
-    "plan_cache_capacity",
     "charge_rows",
     "charge_planes",
     "accumulate_planes",
     "make_planes",
     "popcount_rows",
     "lane_mask",
-    "KERNELS",
-    "DEFAULT_KERNEL",
-    "DEFAULT_PLAN_CACHE_CAPACITY",
     "MAX_BATCH_ARITY",
 ]
-
-#: Recognized simulation kernels (``REPRO_SIM_KERNEL`` values).
-KERNELS = ("compiled", "interp", "native")
-
-#: Kernel used when neither the constructor argument nor the
-#: environment variable selects one.
-DEFAULT_KERNEL = "compiled"
-
-#: Compiled plans kept hot across distinct circuit objects before the
-#: least-recently-used one is dropped (``REPRO_SIM_PLAN_CACHE``
-#: overrides; ``0`` disables the bound).  A long-lived service replica
-#: sees an unbounded stream of distinct uploaded circuits — without a
-#: cap every one would pin its plan arrays in memory forever.
-DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 #: Largest fanin arity evaluated through the batched gather+reduce
 #: path; wider (rare, variadic) gates fall back to per-gate evaluation.
 MAX_BATCH_ARITY = 8
 
-#: Rows unpacked/charged per matmul block in :func:`charge_rows` and
-#: :func:`charge_planes`.  Bounds the transient ``(block, num_lanes)``
-#: float64 allocation while keeping the BLAS calls large; part of the
-#: float-reproducibility contract (both kernels use the same block
-#: size, so partial-sum grouping is identical).
+#: Rows unpacked/charged per matmul block in :func:`charge_rows`.
+#: Bounds the transient ``(block, num_lanes)`` float64 allocation while
+#: keeping the BLAS calls large; part of the float-reproducibility
+#: contract (the partial-sum grouping is fixed).
 _CHARGE_ROW_BLOCK = 128
 
 _METRICS = get_registry()
@@ -119,7 +96,6 @@ _SPANS = get_span_recorder()
 _COMPILE_TIMER = _METRICS.timer("sim_compile_seconds")
 _COMPILE_TOTAL = _METRICS.counter("sim_compile_total")
 _PLAN_CACHE_HITS = _METRICS.counter("sim_plan_cache_hits_total")
-_PLAN_EVICTIONS = _METRICS.counter("sim_plan_cache_evictions_total")
 _BATCH_EVALS = _METRICS.counter("sim_batch_eval_total")
 _STEPS_TOTAL = _METRICS.counter("sim_steps_total")
 _ACTIVE_LEVELS = _METRICS.histogram(
@@ -127,65 +103,30 @@ _ACTIVE_LEVELS = _METRICS.histogram(
 )
 
 
-def resolve_kernel(kernel: Optional[str] = None, probe: bool = False) -> str:
-    """Resolve the kernel choice: explicit argument, else env, else default.
-
-    An unknown kernel name — typically a ``REPRO_SIM_KERNEL`` typo —
-    raises :class:`~repro.errors.ConfigError` naming the valid tiers, so
-    a misconfigured deployment fails loudly at startup instead of
-    silently simulating on an unintended kernel.
-
-    With ``probe=True`` the choice is also resolved against what this
-    process can actually run: ``"native"`` degrades to ``"compiled"``
-    when the ctypes C extension cannot be built or loaded — logged
-    once and counted in ``sim_native_fallback_total`` — never an error.
-    """
-    requested = kernel
-    if kernel is None:
-        kernel = os.environ.get("REPRO_SIM_KERNEL", DEFAULT_KERNEL)
-    if kernel not in KERNELS:
-        source = (
-            "the REPRO_SIM_KERNEL environment variable"
-            if requested is None
-            else "the kernel argument"
-        )
-        raise ConfigError(
-            f"unknown simulation kernel {kernel!r} (from {source}); "
-            f"valid kernels are {', '.join(KERNELS)}"
-        )
-    if probe and kernel == "native":
-        from .native import native_available, record_fallback
-
-        if not native_available():
-            record_fallback()
-            return "compiled"
-    return kernel
-
-
 def kernel_info() -> dict:
-    """The process-wide kernel configuration, for health/telemetry.
+    """This host's simulation tier, for health/telemetry.
 
-    Returns the requested tier (argument/env resolution without
-    availability probing), the active tier this process will actually
-    run, and — for the native tier — which accelerator backend serves
-    it.  ``fallback`` is true when ``native`` was requested but no
-    accelerator is available.
+    One probe of the C library (:func:`repro.sim.native.load_backend`,
+    the same one every unit-delay call makes): ``active`` is
+    ``"native"`` with ``backend`` ``"cext"`` when it loads, else
+    ``"compiled"`` with ``backend`` ``None``.
     """
-    requested = resolve_kernel()
-    active = requested
-    backend = None
-    if requested == "native":
-        from .native import backend_name, native_available
+    from .native import backend_name
 
-        backend = backend_name()
-        if not native_available():
-            active = "compiled"
+    backend = backend_name()
     return {
-        "requested": requested,
-        "active": active,
+        "active": "compiled" if backend is None else "native",
         "backend": backend,
-        "fallback": requested == "native" and active != "native",
     }
+
+
+def resolve_kernel(probe: bool = True) -> str:
+    """This host's simulation tier, ``kernel_info()["active"]``.
+
+    Kept for callers that read the tier by this name; ``probe`` is
+    accepted for them and ignored — the tier is always probed.
+    """
+    return kernel_info()["active"]
 
 
 def lane_mask(num_lanes: int, num_words: int) -> np.ndarray:
@@ -237,10 +178,8 @@ def charge_rows(
     materializing an 8-byte-per-bit float copy).
 
     Float-reproducibility contract: callers pass only changed rows with
-    nonzero capacitance, in **ascending net-index order**.  Both the
-    compiled and the interpreted kernel route every charge through this
-    helper with identically ordered rows, so their energies are
-    bit-for-bit equal.
+    nonzero capacitance, in **ascending net-index order**, so the
+    float summation order is fixed.
     """
     energy = np.zeros(num_lanes, dtype=np.float64)
     num_rows = rows.shape[0]
@@ -330,8 +269,8 @@ def charge_planes(
 
     The integer totals are exact and the float contraction has one
     fixed (value-sorted) order, so energies are deterministic — and
-    every simulation tier routes each charge through this one helper,
-    so energies are bit-for-bit equal across tiers.
+    both wavefront loops route each charge through this one helper,
+    so energies are bit-for-bit equal across hosts.
     """
     energy = np.zeros(num_lanes, dtype=np.float64)
     nz = np.flatnonzero(caps != 0.0)
@@ -837,14 +776,14 @@ class CompiledPlan:
         the previous values.  Per-step toggles accumulate into packed
         bit-plane counters (:func:`accumulate_planes` — no unpacking,
         no float work in the loop).  The per-step changed-net sets are
-        exactly those of the full interpreted relaxation.
+        exactly those of re-evaluating every gate each step.
 
         Runs over the *whole* given word array and returns the counters
         plus the number of planes touched — everything
         :func:`charge_planes` needs.  The caller,
         :meth:`repro.sim.bitsim.BitParallelSimulator.toggle_energy_unit_delay`,
-        splits the lanes into blocks and charges each one, the same way
-        for every tier.
+        splits the lanes into blocks and charges each one, exactly as it
+        does for the C loop.
         """
         if max_steps is None:
             max_steps = self.depth + 4
@@ -910,7 +849,7 @@ class CompiledPlan:
             if not evals:
                 # The dirty nets feed no gates (primary outputs,
                 # dangling nets): the next pass can change nothing.
-                # Consume one step, like the interpreter's final
+                # Consume one step, like a full re-evaluation's final
                 # quiescent pass.
                 dirty = np.empty(0, dtype=np.intp)
                 continue
@@ -977,68 +916,4 @@ def compile_plan(circuit: Circuit) -> CompiledPlan:
     plan = circuit.memo("compiled_plan", build)
     if not built:
         _PLAN_CACHE_HITS.inc()
-    _plan_cache_touch(circuit)
     return plan
-
-
-def plan_cache_capacity() -> int:
-    """Live plan-LRU capacity (``REPRO_SIM_PLAN_CACHE`` or the default).
-
-    ``0`` disables the bound entirely (plans then live exactly as long
-    as their circuit objects, the pre-LRU behaviour).
-    """
-    raw = os.environ.get("REPRO_SIM_PLAN_CACHE")
-    if raw is None:
-        return DEFAULT_PLAN_CACHE_CAPACITY
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ConfigError(
-            f"invalid REPRO_SIM_PLAN_CACHE value {raw!r}: "
-            "expected a non-negative integer (0 disables the bound)"
-        )
-    return cap
-
-
-_PLAN_LRU_LOCK = threading.Lock()
-#: id(circuit) -> weakref.  Ordered oldest-touched first; holding only
-#: weak references means the LRU never extends a circuit's lifetime, it
-#: only decides which *live* circuits keep their plan memo.
-_PLAN_LRU: "OrderedDict[int, weakref.ref]" = OrderedDict()
-
-
-def _plan_cache_forget(key: int) -> None:
-    with _PLAN_LRU_LOCK:
-        _PLAN_LRU.pop(key, None)
-
-
-def _plan_cache_touch(circuit: Circuit) -> None:
-    """Mark ``circuit``'s plan most-recently-used; evict over capacity.
-
-    Eviction drops the ``compiled_plan`` memo entry on the
-    least-recently-used circuit (freeing the plan arrays, by far the
-    dominant memory) — the circuit itself stays valid and simply
-    recompiles on next use.
-    """
-    cap = plan_cache_capacity()
-    if cap == 0:
-        return
-    key = id(circuit)
-    with _PLAN_LRU_LOCK:
-        ref = _PLAN_LRU.pop(key, None)
-        if ref is None or ref() is not circuit:
-            # New entry, or the id was recycled after the old circuit
-            # died before its weakref callback ran.
-            ref = weakref.ref(circuit, lambda _r, _k=key: _plan_cache_forget(_k))
-        _PLAN_LRU[key] = ref
-        victims: List[Circuit] = []
-        while len(_PLAN_LRU) > cap:
-            _old_key, old_ref = _PLAN_LRU.popitem(last=False)
-            victim = old_ref()
-            if victim is not None:
-                victims.append(victim)
-    for victim in victims:
-        victim.memo_discard("compiled_plan")
-        _PLAN_EVICTIONS.inc()

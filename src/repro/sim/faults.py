@@ -27,7 +27,8 @@ import numpy as np
 from ..errors import SimulationError
 from ..netlist.circuit import Circuit
 from ..netlist.gates import eval_gate_words
-from .bitsim import BitParallelSimulator, _lane_mask, pack_vectors
+from .bitsim import BitParallelSimulator, pack_vectors
+from .compiled import lane_mask
 
 __all__ = ["Fault", "CoverageReport", "FaultSimulator"]
 
@@ -115,7 +116,7 @@ class FaultSimulator:
             raise SimulationError(f"unknown net {fault.net!r}")
         input_words = np.ascontiguousarray(input_words, dtype=np.uint64)
         num_words = input_words.shape[1]
-        mask = _lane_mask(num_lanes, num_words)
+        mask = lane_mask(num_lanes, num_words)
         forced = mask.copy() if fault.stuck_at else np.zeros_like(mask)
         state = np.empty(
             (self._sim.num_nets, num_words), dtype=np.uint64
@@ -133,6 +134,15 @@ class FaultSimulator:
                 )
         return state
 
+    def _check_vectors(self, vectors: np.ndarray, name: str) -> np.ndarray:
+        """``vectors`` as uint8, checked to be ``(N, num_inputs)``."""
+        vectors = np.asarray(vectors, dtype=np.uint8)
+        if vectors.ndim != 2 or vectors.shape[1] != self.circuit.num_inputs:
+            raise SimulationError(
+                f"{name} must be (N, {self.circuit.num_inputs})"
+            )
+        return vectors
+
     # ------------------------------------------------------------------
     def detecting_lanes(
         self, vectors: np.ndarray, fault: Fault
@@ -142,11 +152,7 @@ class FaultSimulator:
         A vector detects the fault when at least one primary output
         differs from the fault-free response.
         """
-        vectors = np.asarray(vectors, dtype=np.uint8)
-        if vectors.ndim != 2 or vectors.shape[1] != self.circuit.num_inputs:
-            raise SimulationError(
-                f"vectors must be (N, {self.circuit.num_inputs})"
-            )
+        vectors = self._check_vectors(vectors, "vectors")
         words, lanes = pack_vectors(vectors)
         golden = self._sim.steady_state(words, lanes)
         faulty = self._faulty_state(words, lanes, fault)
@@ -193,10 +199,15 @@ class FaultSimulator:
         re-shapes downstream activity — useful for studying how defects
         move the power distribution.
         """
-        v1 = np.asarray(v1, dtype=np.uint8)
-        v2 = np.asarray(v2, dtype=np.uint8)
+        v1 = self._check_vectors(v1, "v1")
+        v2 = self._check_vectors(v2, "v2")
         if v1.shape != v2.shape:
             raise SimulationError("v1/v2 shape mismatch")
+        if len(net_caps) != self._sim.num_nets:
+            raise SimulationError(
+                f"net_caps must have {self._sim.num_nets} entries, "
+                f"got {len(net_caps)}"
+            )
         w1, lanes = pack_vectors(v1)
         w2, _ = pack_vectors(v2)
         s1 = self._faulty_state(w1, lanes, fault)

@@ -4,34 +4,29 @@ The compiled plan (:mod:`repro.sim.compiled`) already reduced the
 unit-delay relaxation to a handful of numpy calls per step, but on deep
 circuits the loop still pays per-step Python/numpy dispatch dozens of
 times per lane block.  This module runs that loop — and only that loop —
-in native code, consuming the plan's flat arrays directly:
+in native code, consuming the plan's flat arrays directly: a tiny **C
+extension** compiled lazily at first use with the system C compiler and
+loaded through :mod:`ctypes` (the call releases the GIL, so worker
+threads run native work in parallel; work buffers are per thread).
+When it cannot be built or loaded (:func:`load_backend` returns
+``None``), unit-delay blocks run the numpy loop of the compiled plan.
 
-* a tiny **C extension** compiled lazily at first use with the system C
-  compiler and loaded through :mod:`ctypes` (the call releases the GIL,
-  so worker threads run native work in parallel; work buffers are
-  per thread), or
-* nothing — in which case callers degrade gracefully to the
-  ``compiled`` tier (:func:`native_available` is the probe,
-  :func:`record_fallback` the accounting hook).
-
-Float identity with the other kernels is by construction, not by luck:
+Float identity with the numpy loop is by construction, not by luck:
 the native code performs **only exact integer work** (gate word
 evaluation, changed-net detection, ripple-carry accumulation into the
-packed bit-plane toggle counters).  Settling, input-transition
-accounting and the final capacitance charge stay in the shared numpy
-helpers, so the float operations — and therefore the energies — are
-bit-for-bit those of the ``compiled`` tier.
+packed bit-plane toggle counters).  Input-transition accounting and the
+final capacitance charge stay in the shared numpy helpers, so the float
+operations — and therefore the energies — are bit-for-bit those of the
+numpy loop.
 
-Backend choice is overridable via ``REPRO_NATIVE_BACKEND``
-(``auto``/``cext``/``none``; ``none`` forces the fallback path, which
-the no-accelerator tests use) and the compiler via ``REPRO_NATIVE_CC``.
+``REPRO_NATIVE_CC`` names the C compiler and ``REPRO_NATIVE_CACHE`` the
+content-addressed ``.so`` cache directory.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import os
 import shutil
 import subprocess
@@ -43,8 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, SimulationError
-from ..obs.metrics import get_registry
+from ..errors import SimulationError
 from .compiled import CompiledPlan, accumulate_planes
 
 __all__ = [
@@ -52,16 +46,9 @@ __all__ = [
     "charge_accelerator",
     "native_available",
     "native_tables",
-    "record_fallback",
     "reset_backend",
     "unit_delay_planes_native",
 ]
-
-_LOG = logging.getLogger("repro.sim.native")
-_METRICS = get_registry()
-_FALLBACK_TOTAL = _METRICS.counter("sim_native_fallback_total")
-
-_BACKENDS = ("auto", "cext", "none")
 
 # Opcodes of the C kernel.  Inverting gate types (NAND/NOR/
 # XNOR/NOT) carry a separate per-gate invert flag.
@@ -315,7 +302,7 @@ void repro_settle(
  *
  * Returns the number of planes touched (>= 0), -1 if the relaxation
  * did not stabilize within max_steps, -2 on toggle-counter overflow
- * (both map to the SimulationError cases of the numpy kernels).
+ * (both map to the SimulationError cases of the numpy loop).
  */
 long long repro_unit_delay(
     const int64_t *fan_indptr,
@@ -749,44 +736,31 @@ def _consumer_csr(plan: CompiledPlan) -> Tuple[np.ndarray, np.ndarray]:
 _BACKEND_LOCK = threading.Lock()
 _UNSET = object()
 _BACKEND: object = _UNSET
-_FALLBACK_LOGGED = False
-
-
-def _probe_backend() -> Optional[object]:
-    choice = os.environ.get("REPRO_NATIVE_BACKEND", "auto")
-    if choice not in _BACKENDS:
-        raise ConfigError(
-            f"unknown REPRO_NATIVE_BACKEND value {choice!r}; "
-            f"valid values are {', '.join(_BACKENDS)}"
-        )
-    if choice == "none":
-        return None
-    try:
-        return _CExtBackend()
-    except Exception:
-        return None
 
 
 def load_backend() -> Optional[object]:
-    """The process-wide accelerator backend, probed once (or ``None``)."""
+    """The process-wide C backend, probed once (``None`` if it cannot
+    be built or loaded)."""
     global _BACKEND
     if _BACKEND is _UNSET:
         with _BACKEND_LOCK:
             if _BACKEND is _UNSET:
-                _BACKEND = _probe_backend()
+                try:
+                    _BACKEND = _CExtBackend()
+                except Exception:
+                    _BACKEND = None
     return None if _BACKEND is _UNSET else _BACKEND  # type: ignore[return-value]
 
 
 def reset_backend() -> None:
-    """Forget the probed backend (tests flip env knobs between cases)."""
-    global _BACKEND, _FALLBACK_LOGGED
+    """Forget the probed backend (tests flip ``REPRO_NATIVE_CC``)."""
+    global _BACKEND
     with _BACKEND_LOCK:
         _BACKEND = _UNSET
-        _FALLBACK_LOGGED = False
 
 
 def native_available() -> bool:
-    """Whether this process can actually run the native tier."""
+    """Whether the C wavefront loop runs on this host."""
     return load_backend() is not None
 
 
@@ -808,19 +782,6 @@ def charge_accelerator():
     return None if backend is None else backend.charge_gtot
 
 
-def record_fallback() -> None:
-    """Count (and log, once) a native -> compiled degradation."""
-    global _FALLBACK_LOGGED
-    _FALLBACK_TOTAL.inc()
-    if not _FALLBACK_LOGGED:
-        _FALLBACK_LOGGED = True
-        _LOG.warning(
-            "REPRO_SIM_KERNEL=native requested but the C kernel is "
-            "unavailable (no C compiler, or REPRO_NATIVE_BACKEND=none); "
-            "falling back to the compiled kernel"
-        )
-
-
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -835,11 +796,11 @@ def unit_delay_planes_native(
 ) -> Tuple[List[np.ndarray], int]:
     """Native-loop twin of :meth:`CompiledPlan.unit_delay_planes`.
 
-    Settling, the input-transition accumulation and the returned plane
-    layout are the shared numpy code paths; only the integer wavefront
-    loop runs natively.  The returned planes (views into one contiguous
+    The input-transition accumulation and the returned plane layout are
+    the shared numpy code paths; only the integer settle and wavefront
+    loop run natively.  The returned planes (views into one contiguous
     block) and plane count feed :func:`repro.sim.compiled.charge_planes`
-    unchanged, so energies are float-identical to the compiled tier.
+    unchanged, so energies are float-identical to the numpy loop's.
     """
     backend = load_backend()
     if backend is None:
@@ -871,7 +832,7 @@ def unit_delay_planes_native(
     # Net-major counter block: every net's counter bits are contiguous,
     # which keeps the native ripple-carry on one cache line per net.
     # The per-plane views handed back are strided but content-identical
-    # to the plane-major layout of the numpy kernels.  At least three
+    # to the plane-major layout of the numpy loop.  At least three
     # planes are allocated because the C kernel updates the first three
     # carry levels branchlessly; the logical overflow bound is enforced
     # on planes_used below.
@@ -881,7 +842,7 @@ def unit_delay_planes_native(
     )
     planes = [planes3[:, k, :] for k in range(alloc_planes)]
 
-    # Input transitions (same shared helper as the numpy kernels).
+    # Input transitions (same shared helper as the numpy loop).
     v2_masked = v2_words & mask
     in_diff = state[: plan.num_inputs] ^ v2_masked
     dirty = np.flatnonzero(in_diff.any(axis=1))
@@ -922,7 +883,7 @@ def unit_delay_planes_native(
         planes_used = max(planes_used, int(rc))
     if planes_used > num_planes:
         # Counts outgrew the logical plane budget for max_steps; the
-        # numpy kernels raise here, so the native tier must as well.
+        # numpy loop raises here, so the C loop must as well.
         raise SimulationError(
             "toggle counter overflow — plane allocation invariant broken"
         )

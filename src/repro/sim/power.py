@@ -84,14 +84,6 @@ class PowerAnalyzer:
     delay_model:
         Delay model for the event mode (defaults to the library's linear
         model).  Ignored by the vectorized modes.
-    kernel:
-        Bit-parallel simulation kernel: ``"compiled"`` (default; the
-        struct-of-arrays plan, cached per circuit so repeated analyzers
-        and worker processes share one compiled form), ``"native"``
-        (the accelerator-backed wavefront loop, degrading to
-        ``"compiled"`` when no backend is available) or ``"interp"``
-        (the legacy per-gate interpreter, for A/B comparison).  ``None``
-        defers to the ``REPRO_SIM_KERNEL`` environment variable.
     """
 
     def __init__(
@@ -101,7 +93,6 @@ class PowerAnalyzer:
         frequency_hz: float = 50e6,
         mode: str = "unit",
         delay_model: Optional[DelayModel] = None,
-        kernel: Optional[str] = None,
     ):
         if mode not in SIM_MODES:
             raise SimulationError(f"mode must be one of {SIM_MODES}")
@@ -111,7 +102,7 @@ class PowerAnalyzer:
         self.library = library if library is not None else default_library()
         self.frequency_hz = frequency_hz
         self.mode = mode
-        self._bitsim = BitParallelSimulator(circuit, kernel=kernel)
+        self._bitsim = BitParallelSimulator(circuit)
         self._caps_ff = self.library.all_net_capacitances(circuit)
         self._net_caps_f = np.array(
             [self._caps_ff[n] * _FF_TO_F for n in self._bitsim.net_order],

@@ -295,10 +295,10 @@ class FinitePopulation(PowerPopulation):
         lifting (bit-parallel simulation, numpy RNG) releases the GIL,
         and threads keep arbitrary closures usable as generators/power
         functions (no pickling requirement).  When ``power_function`` is
-        a :class:`~repro.sim.power.PowerAnalyzer` bound method on the
-        default compiled kernel, the circuit's struct-of-arrays plan is
-        compiled once and shared by every chunk (and every thread) —
-        the per-chunk cost is pure batched evaluation.
+        a :class:`~repro.sim.power.PowerAnalyzer` bound method, the
+        circuit's struct-of-arrays plan is compiled once and shared by
+        every chunk (and every thread) — the per-chunk cost is pure
+        batched evaluation.
         """
         if num_pairs < 1:
             raise PopulationError("num_pairs must be >= 1")

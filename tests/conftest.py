@@ -8,6 +8,7 @@ import pytest
 from repro.netlist.bench import parse_bench
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.sim.native import reset_backend
 from repro.sim.power import PowerAnalyzer
 from repro.vectors.generators import random_vector_pairs
 from repro.vectors.population import FinitePopulation
@@ -63,6 +64,22 @@ def hazard_circuit() -> Circuit:
     c.set_outputs(["y"])
     c.validate()
     return c
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """Stand in for a host without a C compiler.
+
+    Points ``REPRO_NATIVE_CC`` at a missing path and forgets the probed
+    C library before and after the test, so unit-delay blocks inside
+    the test run the numpy loop and later tests probe the real host
+    again.
+    """
+    monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
+    reset_backend()
+    yield
+    monkeypatch.undo()
+    reset_backend()
 
 
 @pytest.fixture

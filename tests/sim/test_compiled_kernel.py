@@ -1,11 +1,14 @@
-"""Differential tests: compiled kernel vs interpreter vs event sim.
+"""Differential tests: the numpy wavefront loop vs exact oracles.
 
-The compiled struct-of-arrays kernel must be *indistinguishable* from
-the legacy per-gate interpreter: bit-identical steady states and toggle
-counts, float-identical energies (both kernels charge through
-``charge_rows`` with identically ordered rows).  The event-driven
-simulator under a unit-delay model provides a third, independently
-implemented reference for the glitch-capturing unit-delay semantics.
+On a host without a C compiler (the ``no_compiler`` fixture stands in
+for one) every unit-delay block runs the numpy loop of
+:class:`~repro.sim.compiled.CompiledPlan`.  It must agree exactly with
+two independently implemented oracles: steady states with the
+dict-based :meth:`~repro.netlist.circuit.Circuit.evaluate_vector`, and
+per-net, per-lane unit-delay toggle counts with the event-driven
+simulator under :class:`~repro.sim.delay.UnitDelay`.  With dyadic
+capacitances every energy is an exact sum, so energies must match the
+oracle bit for bit too.
 """
 
 from __future__ import annotations
@@ -19,17 +22,21 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.netlist.generators.random_dag import random_layered_circuit
 from repro.sim import compiled
-from repro.sim.bitsim import BitParallelSimulator, pack_vectors
+from repro.sim.bitsim import (
+    BitParallelSimulator,
+    pack_vectors,
+    unpack_vectors,
+)
 from repro.sim.compiled import (
     MAX_BATCH_ARITY,
     CompiledPlan,
     compile_plan,
+    lane_mask,
     popcount_rows,
     resolve_kernel,
 )
 from repro.sim.delay import UnitDelay
 from repro.sim.event_sim import EventDrivenSimulator
-from repro.errors import ConfigError, SimulationError
 
 # Lane counts straddling the word boundary: single lane, partial word,
 # exactly one word, and spill into a second word.
@@ -50,11 +57,50 @@ def _random_pairs(num_inputs: int, num_pairs: int, seed: int):
     return v1, v2
 
 
-def _random_caps(num_nets: int, seed: int) -> np.ndarray:
+def dyadic_caps(num_nets: int, seed: int) -> np.ndarray:
+    """Capacitances that are multiples of 1/8: every energy below is a
+    short sum of exactly representable products, so it is exact in
+    float64 whatever the summation order."""
     rng = np.random.default_rng(seed)
-    caps = rng.uniform(0.5, 20.0, size=num_nets)
+    caps = rng.integers(1, 160, size=num_nets) / 8.0
     caps[rng.random(num_nets) < 0.1] = 0.0  # exercise the zero-cap filter
     return caps
+
+
+def evaluate_states(circuit: Circuit, vectors: np.ndarray) -> np.ndarray:
+    """``(num_nets, lanes)`` 0/1 steady states from ``evaluate_vector``."""
+    nets = circuit.nets
+    states = np.empty((len(nets), len(vectors)), dtype=np.int64)
+    for lane, vec in enumerate(vectors):
+        values = circuit.evaluate_vector(list(vec))
+        states[:, lane] = [values[n] for n in nets]
+    return states
+
+
+def event_toggle_counts(
+    circuit: Circuit, v1: np.ndarray, v2: np.ndarray
+) -> np.ndarray:
+    """``(num_nets, lanes)`` unit-delay toggle counts, primary inputs
+    included, from the event-driven simulator."""
+    event = EventDrivenSimulator(circuit, UnitDelay())
+    row = {net: i for i, net in enumerate(circuit.nets)}
+    counts = np.zeros((len(row), len(v1)), dtype=np.int64)
+    for lane in range(len(v1)):
+        toggles = event.simulate_pair(v1[lane], v2[lane]).toggle_counts
+        for net, count in toggles.items():
+            counts[row[net], lane] = count
+    return counts
+
+
+def plane_counts(planes, planes_used: int, num_lanes: int) -> np.ndarray:
+    """``(num_nets, lanes)`` toggle counts decoded from bit-plane
+    counters: plane *k* holds bit *k* of every count."""
+    counts = np.zeros((planes[0].shape[0], num_lanes), dtype=np.int64)
+    for k in range(planes_used):
+        rows = np.ascontiguousarray(planes[k])
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        counts += bits[:, :num_lanes].astype(np.int64) << k
+    return counts
 
 
 def _special_circuit() -> Circuit:
@@ -81,44 +127,62 @@ def _special_circuit() -> Circuit:
     return c
 
 
-def _sims(circuit: Circuit):
-    return (
-        BitParallelSimulator(circuit, kernel="compiled"),
-        BitParallelSimulator(circuit, kernel="interp"),
+def _check_against_oracles(circuit: Circuit, num_lanes: int, seed: int):
+    """Every simulator output of the numpy tier vs the exact oracles."""
+    sim = BitParallelSimulator(circuit)
+    v1, v2 = _random_pairs(circuit.num_inputs, num_lanes, seed)
+    w1, lanes = pack_vectors(v1)
+    w2, _ = pack_vectors(v2)
+    caps = dyadic_caps(sim.num_nets, seed + 1)
+
+    s1 = evaluate_states(circuit, v1)
+    s2 = evaluate_states(circuit, v2)
+    for words, states in ((w1, s1), (w2, s2)):
+        bits = unpack_vectors(sim.steady_state(words, lanes), lanes)
+        assert np.array_equal(bits.T, states)
+    assert np.array_equal(
+        sim.toggle_counts_zero_delay(w1, w2, lanes), (s1 != s2).sum(axis=1)
+    )
+    assert np.array_equal(
+        sim.toggle_energy_zero_delay(w1, w2, lanes, caps), caps @ (s1 != s2)
+    )
+
+    counts = event_toggle_counts(circuit, v1, v2)
+    mask = lane_mask(lanes, w1.shape[1])
+    planes, used = compile_plan(circuit).unit_delay_planes(w1, w2, mask)
+    assert np.array_equal(plane_counts(planes, used, lanes), counts)
+    assert np.array_equal(
+        sim.toggle_energy_unit_delay(w1, w2, lanes, caps), caps @ counts
     )
 
 
 class TestKernelSelection:
-    def test_default_is_compiled(self, c17, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+    def test_default_is_compiled(self, c17, no_compiler):
+        """Without a C compiler the tier is ``compiled``: unit-delay
+        blocks run the numpy loop, the only one that counts steps."""
+        from repro.obs.metrics import get_registry
+
+        assert resolve_kernel() == "compiled"
         sim = BitParallelSimulator(c17)
-        assert sim.kernel == "compiled"
-        assert sim._plan is not None
-
-    def test_env_var_selects_interp(self, c17, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "interp")
-        sim = BitParallelSimulator(c17)
-        assert sim.kernel == "interp"
-        assert sim._plan is None
-        assert sim._ops  # the interpreter's op list is built
-
-    def test_explicit_arg_beats_env(self, c17, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "interp")
-        sim = BitParallelSimulator(c17, kernel="compiled")
-        assert sim.kernel == "compiled"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigError, match="turbo"):
-            resolve_kernel("turbo")
-
-    def test_unknown_kernel_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "turbo")
-        with pytest.raises(ConfigError, match="REPRO_SIM_KERNEL"):
-            resolve_kernel()
+        assert sim._plan is compile_plan(c17)
+        registry = get_registry()
+        was_enabled = registry.enabled
+        registry.enable()
+        try:
+            before = compiled._STEPS_TOTAL.value
+            v1, v2 = _random_pairs(c17.num_inputs, 8, 4)
+            w1, lanes = pack_vectors(v1)
+            w2, _ = pack_vectors(v2)
+            sim.toggle_energy_unit_delay(w1, w2, lanes, np.ones(sim.num_nets))
+            assert compiled._STEPS_TOTAL.value > before
+        finally:
+            if not was_enabled:
+                registry.disable()
 
 
+@pytest.mark.usefixtures("no_compiler")
 class TestDifferentialParity:
-    """Compiled and interpreted kernels must agree exactly."""
+    """The numpy tier must agree exactly with both oracles."""
 
     @pytest.mark.parametrize("profile", DAG_PROFILES)
     @pytest.mark.parametrize("num_lanes", LANE_COUNTS)
@@ -127,46 +191,11 @@ class TestDifferentialParity:
         circuit = random_layered_circuit(
             f"dag{seed}", ni, no, ng, depth, seed=seed
         )
-        comp, interp = _sims(circuit)
-        v1, v2 = _random_pairs(ni, num_lanes, seed + 1)
-        w1, lanes = pack_vectors(v1)
-        w2, _ = pack_vectors(v2)
-        caps = _random_caps(comp.num_nets, seed + 2)
-
-        s_c = comp.steady_state(w1, lanes)
-        s_i = interp.steady_state(w1, lanes)
-        assert np.array_equal(s_c, s_i)
-
-        assert np.array_equal(
-            comp.toggle_counts_zero_delay(w1, w2, lanes),
-            interp.toggle_counts_zero_delay(w1, w2, lanes),
-        )
-        # Float-identical, not merely close: both kernels charge the
-        # same rows in the same order through charge_rows.
-        assert np.array_equal(
-            comp.toggle_energy_zero_delay(w1, w2, lanes, caps),
-            interp.toggle_energy_zero_delay(w1, w2, lanes, caps),
-        )
-        assert np.array_equal(
-            comp.toggle_energy_unit_delay(w1, w2, lanes, caps),
-            interp.toggle_energy_unit_delay(w1, w2, lanes, caps),
-        )
+        _check_against_oracles(circuit, num_lanes, seed + 1)
 
     @pytest.mark.parametrize("num_lanes", LANE_COUNTS)
     def test_special_gates_parity(self, num_lanes):
-        circuit = _special_circuit()
-        comp, interp = _sims(circuit)
-        v1, v2 = _random_pairs(circuit.num_inputs, num_lanes, 7)
-        w1, lanes = pack_vectors(v1)
-        w2, _ = pack_vectors(v2)
-        caps = _random_caps(comp.num_nets, 8)
-        assert np.array_equal(
-            comp.steady_state(w1, lanes), interp.steady_state(w1, lanes)
-        )
-        assert np.array_equal(
-            comp.toggle_energy_unit_delay(w1, w2, lanes, caps),
-            interp.toggle_energy_unit_delay(w1, w2, lanes, caps),
-        )
+        _check_against_oracles(_special_circuit(), num_lanes, 7)
 
     def test_special_circuit_has_straggler_batch(self):
         plan = CompiledPlan(_special_circuit())
@@ -176,20 +205,15 @@ class TestDifferentialParity:
         assert "reduce" in kinds
 
     def test_parity_against_circuit_evaluate(self, c17):
-        # Both kernels vs the dict-based scalar evaluator.
-        comp, interp = _sims(c17)
+        # Steady states vs the dict-based scalar evaluator, lane by lane.
+        sim = BitParallelSimulator(c17)
         rng = np.random.default_rng(5)
         vecs = rng.integers(0, 2, size=(17, c17.num_inputs), dtype=np.uint8)
         w, lanes = pack_vectors(vecs)
-        s_c = comp.steady_state(w, lanes)
-        s_i = interp.steady_state(w, lanes)
-        assert np.array_equal(s_c, s_i)
-        from repro.sim.bitsim import unpack_vectors
-
-        bits = unpack_vectors(s_c, lanes)
+        bits = unpack_vectors(sim.steady_state(w, lanes), lanes)
         for lane in range(lanes):
             ref = c17.evaluate_vector(list(vecs[lane]))
-            for j, net in enumerate(comp.net_order):
+            for j, net in enumerate(sim.net_order):
                 assert bits[lane, j] == ref[net], (lane, net)
 
 
@@ -211,7 +235,7 @@ class TestEventDrivenParity:
         circuit = random_layered_circuit(
             f"evt{seed}", ni, no, ng, depth, seed=seed
         )
-        comp = BitParallelSimulator(circuit, kernel="compiled")
+        comp = BitParallelSimulator(circuit)
         event = EventDrivenSimulator(circuit, UnitDelay())
         num_pairs = 40
         v1, v2 = _random_pairs(ni, num_pairs, seed + 1)
@@ -226,7 +250,7 @@ class TestEventDrivenParity:
             assert energies[lane] == expected, lane
 
     def test_hazard_pulse_counted(self, hazard_circuit):
-        comp = BitParallelSimulator(hazard_circuit, kernel="compiled")
+        comp = BitParallelSimulator(hazard_circuit)
         event = EventDrivenSimulator(hazard_circuit, UnitDelay())
         w1, lanes = pack_vectors(np.array([[0]], dtype=np.uint8))
         w2, _ = pack_vectors(np.array([[1]], dtype=np.uint8))
@@ -237,8 +261,8 @@ class TestEventDrivenParity:
 
 class TestPlanCache:
     def test_plan_shared_between_simulators(self, c17):
-        a = BitParallelSimulator(c17, kernel="compiled")
-        b = BitParallelSimulator(c17, kernel="compiled")
+        a = BitParallelSimulator(c17)
+        b = BitParallelSimulator(c17)
         assert a._plan is b._plan
 
     def test_mutation_invalidates_plan(self, c17):
@@ -255,10 +279,9 @@ class TestPlanCache:
         assert clone._cache == {}
 
     def test_simulator_pickle_roundtrip(self, c17):
-        sim = BitParallelSimulator(c17, kernel="compiled")
+        sim = BitParallelSimulator(c17)
         clone = pickle.loads(pickle.dumps(sim))
-        assert clone.kernel == "compiled"
-        assert clone._plan is not None
+        assert clone._plan is compile_plan(clone.circuit)
         v1, v2 = _random_pairs(c17.num_inputs, 10, 3)
         w1, lanes = pack_vectors(v1)
         w2, _ = pack_vectors(v2)
@@ -267,12 +290,6 @@ class TestPlanCache:
             sim.toggle_energy_unit_delay(w1, w2, lanes, caps),
             clone.toggle_energy_unit_delay(w1, w2, lanes, caps),
         )
-
-    def test_interp_pickle_preserves_kernel(self, c17):
-        sim = BitParallelSimulator(c17, kernel="interp")
-        clone = pickle.loads(pickle.dumps(sim))
-        assert clone.kernel == "interp"
-        assert clone._plan is None
 
 
 class TestPopcountRows:
@@ -302,7 +319,7 @@ class TestPopcountRows:
 
 
 class TestKernelMetrics:
-    def test_compiled_metrics_recorded(self):
+    def test_compiled_metrics_recorded(self, no_compiler):
         from repro.obs.metrics import get_registry
 
         registry = get_registry()
@@ -310,7 +327,7 @@ class TestKernelMetrics:
         registry.enable()
         try:
             circuit = random_layered_circuit("met", 8, 4, 40, 6, seed=77)
-            sim = BitParallelSimulator(circuit, kernel="compiled")
+            sim = BitParallelSimulator(circuit)
             v1, v2 = _random_pairs(8, 32, 78)
             w1, lanes = pack_vectors(v1)
             w2, _ = pack_vectors(v2)

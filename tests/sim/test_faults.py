@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.netlist.generators import build_circuit
 from repro.sim.faults import CoverageReport, Fault, FaultSimulator
 
 
@@ -153,3 +154,25 @@ class TestPowerUnderFault:
         assert not np.allclose(healthy, faulty, rtol=1e-3, atol=0.0)
         # The stuck circuit can only lose switching on G11's cone side.
         assert faulty.mean() < healthy.mean() * 1.2
+
+    @pytest.mark.parametrize("width", [1, 39])
+    def test_vector_width_checked(self, width):
+        # c432 has 36 inputs: a width-1 matrix used to be broadcast to
+        # every input, a width-39 one to fail inside numpy.
+        c432 = build_circuit("c432")
+        sim = FaultSimulator(c432)
+        caps = np.ones(sim._sim.num_nets)
+        good = np.zeros((4, c432.num_inputs), dtype=np.uint8)
+        bad = np.ones((4, width), dtype=np.uint8)
+        fault = Fault(c432.outputs[0], 0)
+        with pytest.raises(SimulationError, match=r"v1 must be \(N, 36\)"):
+            sim.power_under_fault(bad, bad, fault, caps)
+        with pytest.raises(SimulationError, match=r"v2 must be \(N, 36\)"):
+            sim.power_under_fault(good, bad, fault, caps)
+
+    def test_net_caps_length_checked(self):
+        c432 = build_circuit("c432")
+        sim = FaultSimulator(c432)
+        v = np.zeros((4, c432.num_inputs), dtype=np.uint8)
+        with pytest.raises(SimulationError, match="net_caps must have"):
+            sim.power_under_fault(v, v, Fault(c432.outputs[0], 0), np.ones(3))

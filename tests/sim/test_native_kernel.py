@@ -1,13 +1,14 @@
-"""Differential tests: native kernel tier vs compiled vs interpreter.
+"""Differential tests: the C wavefront loop vs the numpy loop and oracles.
 
-The native tier (the C-extension-backed wavefront loop) must be
-*indistinguishable* from the compiled kernel: bit-identical toggle
-planes and float-identical energies (all tiers charge through the one
-shared :func:`~repro.sim.compiled.charge_planes`).  Everything that
-needs an accelerator skips — never fails — when the C extension is
-unavailable, and the selection tests prove the graceful degradation
-contract: ``REPRO_SIM_KERNEL=native`` without an accelerator runs on
-the compiled tier, logged and metric-counted, never an error.
+On a host where the C library loads, every unit-delay block runs the C
+loop.  It must be *indistinguishable* from the numpy loop that runs on
+a host without a compiler: bit-identical toggle planes and
+float-identical energies (both loops charge through the one shared
+:func:`~repro.sim.compiled.charge_planes`), and per-net, per-lane
+toggle counts equal to the event-driven oracle's.  Everything that
+needs the C library skips — never fails — when it cannot be built, and
+the ``no_compiler`` tests prove that such a host simulates on the
+numpy loop and reports it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.netlist.generators.iscas_like import build_circuit
 from repro.netlist.generators.random_dag import random_layered_circuit
-from repro.obs.metrics import get_registry
+from repro.sim import native
 from repro.sim.bitsim import BitParallelSimulator, pack_vectors
 from repro.sim.compiled import (
     MAX_BATCH_ARITY,
@@ -37,6 +37,13 @@ from repro.sim.native import (
     native_available,
     reset_backend,
     unit_delay_planes_native,
+)
+from repro.sim.power import PowerAnalyzer
+
+from .test_compiled_kernel import (
+    dyadic_caps,
+    event_toggle_counts,
+    plane_counts,
 )
 
 HAVE_NATIVE = native_available()
@@ -106,83 +113,66 @@ def _dangling_circuit() -> Circuit:
     return c
 
 
-@pytest.fixture
-def clean_backend(monkeypatch):
-    """Restore whatever backend state the other tests rely on."""
-    yield monkeypatch
-    monkeypatch.undo()
-    reset_backend()
-
-
 class TestNativeSelection:
-    def test_native_is_a_known_kernel(self):
-        assert resolve_kernel("native") == "native"
-
-    def test_env_var_selects_native(self, c17, clean_backend):
-        clean_backend.setenv("REPRO_SIM_KERNEL", "native")
-        sim = BitParallelSimulator(c17)
-        # With an accelerator: native.  Without: the documented
-        # degradation to compiled.  Never an error.
-        assert sim.kernel == ("native" if HAVE_NATIVE else "compiled")
-        assert sim._plan is not None
-
-    def test_no_accelerator_degrades_to_compiled(self, c17, clean_backend):
-        registry = get_registry()
-        was_enabled = registry.enabled
-        registry.enable()
-        before = registry.counter("sim_native_fallback_total").value
-        clean_backend.setenv("REPRO_NATIVE_BACKEND", "none")
+    @requires_native
+    def test_env_var_selects_native(self, c17, monkeypatch):
+        """``REPRO_NATIVE_CC`` naming a working compiler gives the C
+        loop (the same compiler path, so the cached library loads)."""
+        monkeypatch.setenv("REPRO_NATIVE_CC", native._find_cc())
         reset_backend()
+        try:
+            assert kernel_info() == {"active": "native", "backend": "cext"}
+            sim = BitParallelSimulator(c17)
+            v1, v2 = _random_pairs(c17.num_inputs, 10, 5)
+            w1, lanes = pack_vectors(v1)
+            w2, _ = pack_vectors(v2)
+            caps = np.ones(sim.num_nets)
+            assert np.array_equal(
+                sim.toggle_energy_unit_delay(w1, w2, lanes, caps),
+                event_toggle_counts(c17, v1, v2).sum(axis=0),
+            )
+        finally:
+            monkeypatch.undo()
+            reset_backend()
+
+    def test_no_accelerator_degrades_to_compiled(self, c17, no_compiler):
         assert not native_available()
         assert backend_name() is None
-        sim = BitParallelSimulator(c17, kernel="native")
-        assert sim.kernel == "compiled"
-        assert (
-            registry.counter("sim_native_fallback_total").value == before + 1
-        )
-        # The degraded simulator still simulates correctly.
+        # The numpy loop still simulates correctly: with unit
+        # capacitances the energy is the event-driven toggle total.
+        sim = BitParallelSimulator(c17)
         v1, v2 = _random_pairs(c17.num_inputs, 10, 1)
         w1, lanes = pack_vectors(v1)
         w2, _ = pack_vectors(v2)
         caps = np.ones(sim.num_nets)
-        ref = BitParallelSimulator(c17, kernel="compiled")
         assert np.array_equal(
             sim.toggle_energy_unit_delay(w1, w2, lanes, caps),
-            ref.toggle_energy_unit_delay(w1, w2, lanes, caps),
+            event_toggle_counts(c17, v1, v2).sum(axis=0),
         )
-        if not was_enabled:
-            registry.disable()
 
-    def test_kernel_info_reports_fallback(self, clean_backend):
-        clean_backend.setenv("REPRO_SIM_KERNEL", "native")
-        clean_backend.setenv("REPRO_NATIVE_BACKEND", "none")
-        reset_backend()
-        info = kernel_info()
-        assert info["requested"] == "native"
-        assert info["active"] == "compiled"
-        assert info["fallback"] is True
+    def test_kernel_info_reports_fallback(self, c17, no_compiler):
+        PowerAnalyzer(c17, mode="unit").powers_for_pairs(
+            *_random_pairs(c17.num_inputs, 4, 3)
+        )
+        assert kernel_info() == {"active": "compiled", "backend": None}
+        assert resolve_kernel(probe=True) == "compiled"
 
-    def test_kernel_info_active_native(self, clean_backend):
+    def test_kernel_info_active_native(self, c17):
         if not HAVE_NATIVE:
             pytest.skip("no native backend")
-        clean_backend.setenv("REPRO_SIM_KERNEL", "native")
-        info = kernel_info()
-        assert info["active"] == "native"
-        assert info["backend"] == "cext"
-        assert info["fallback"] is False
-
-    def test_unknown_native_backend_env_rejected(self, clean_backend):
-        for value in ("turbo", "numba"):
-            clean_backend.setenv("REPRO_NATIVE_BACKEND", value)
-            reset_backend()
-            with pytest.raises(ConfigError, match="REPRO_NATIVE_BACKEND"):
-                native_available()
+        # A fresh probe, loaded by the unit-delay call itself: the
+        # report must name the library that call loaded.
+        reset_backend()
+        PowerAnalyzer(c17, mode="unit").powers_for_pairs(
+            *_random_pairs(c17.num_inputs, 4, 3)
+        )
+        assert kernel_info() == {"active": "native", "backend": "cext"}
+        assert resolve_kernel(probe=True) == "native"
 
     @requires_native
     def test_pickled_sim_keeps_native_kernel(self, c17):
-        sim = BitParallelSimulator(c17, kernel="native")
+        sim = BitParallelSimulator(c17)
         clone = pickle.loads(pickle.dumps(sim))
-        assert clone.kernel == "native"
         v1, v2 = _random_pairs(c17.num_inputs, 5, 2)
         w1, lanes = pack_vectors(v1)
         w2, _ = pack_vectors(v2)
@@ -195,22 +185,34 @@ class TestNativeSelection:
 
 @requires_native
 class TestNativeDifferential:
-    """Native vs compiled vs interpreted: exact agreement."""
+    """C loop vs numpy loop vs event-driven oracle: exact agreement."""
 
     def _three_way(self, circuit, num_lanes, seed):
-        native = BitParallelSimulator(circuit, kernel="native")
-        comp = BitParallelSimulator(circuit, kernel="compiled")
-        interp = BitParallelSimulator(circuit, kernel="interp")
+        sim = BitParallelSimulator(circuit)
+        plan = compile_plan(circuit)
         v1, v2 = _random_pairs(circuit.num_inputs, num_lanes, seed)
         w1, lanes = pack_vectors(v1)
         w2, _ = pack_vectors(v2)
-        caps = _random_caps(native.num_nets, seed + 1)
-        e_n = native.toggle_energy_unit_delay(w1, w2, lanes, caps)
-        e_c = comp.toggle_energy_unit_delay(w1, w2, lanes, caps)
-        e_i = interp.toggle_energy_unit_delay(w1, w2, lanes, caps)
-        # Float-identical, not merely close.
-        assert np.array_equal(e_n, e_c)
-        assert np.array_equal(e_c, e_i)
+        mask = lane_mask(lanes, w1.shape[1])
+        p_n, used_n = unit_delay_planes_native(plan, w1, w2, mask)
+        p_c, used_c = plan.unit_delay_planes(w1, w2, mask)
+        counts = plane_counts(p_n, used_n, lanes)
+        assert used_n == used_c
+        assert np.array_equal(counts, plane_counts(p_c, used_c, lanes))
+        assert np.array_equal(counts, event_toggle_counts(circuit, v1, v2))
+        # With dyadic capacitances the energy is the oracle's exact sum.
+        dcaps = dyadic_caps(sim.num_nets, seed + 2)
+        assert np.array_equal(
+            sim.toggle_energy_unit_delay(w1, w2, lanes, dcaps),
+            dcaps @ counts,
+        )
+        # With arbitrary ones it is float-identical to the numpy loop's
+        # (one lane block: the same planes through the same charge).
+        caps = _random_caps(sim.num_nets, seed + 1)
+        assert np.array_equal(
+            sim.toggle_energy_unit_delay(w1, w2, lanes, caps),
+            charge_planes(p_c, caps, lanes, used_c),
+        )
 
     @pytest.mark.parametrize("profile", DAG_PROFILES)
     @pytest.mark.parametrize("num_lanes", LANE_COUNTS)
@@ -231,30 +233,20 @@ class TestNativeDifferential:
 
     @pytest.mark.parametrize("name", ("c432", "c880"))
     def test_suite_circuit_parity(self, name):
-        circuit = build_circuit(name)
-        native = BitParallelSimulator(circuit, kernel="native")
-        comp = BitParallelSimulator(circuit, kernel="compiled")
-        v1, v2 = _random_pairs(circuit.num_inputs, 300, 31)
-        w1, lanes = pack_vectors(v1)
-        w2, _ = pack_vectors(v2)
-        caps = _random_caps(native.num_nets, 32)
-        assert np.array_equal(
-            native.toggle_energy_unit_delay(w1, w2, lanes, caps),
-            comp.toggle_energy_unit_delay(w1, w2, lanes, caps),
-        )
+        self._three_way(build_circuit(name), 300, 31)
 
     def test_identical_vectors_zero_energy(self):
         circuit = build_circuit("c432")
-        native = BitParallelSimulator(circuit, kernel="native")
+        sim = BitParallelSimulator(circuit)
         v1, _ = _random_pairs(circuit.num_inputs, 70, 41)
         w1, lanes = pack_vectors(v1)
-        caps = _random_caps(native.num_nets, 42)
-        energy = native.toggle_energy_unit_delay(w1, w1, lanes, caps)
+        caps = _random_caps(sim.num_nets, 42)
+        energy = sim.toggle_energy_unit_delay(w1, w1, lanes, caps)
         assert np.array_equal(energy, np.zeros(lanes))
 
     def test_planes_bit_identical(self):
         """The raw toggle planes — not just the charged energies —
-        match the compiled kernel's, including the used-plane count."""
+        match the numpy loop's, including the used-plane count."""
         circuit = random_layered_circuit("nplanes", 12, 6, 90, 8, seed=55)
         plan = compile_plan(circuit)
         v1, v2 = _random_pairs(circuit.num_inputs, 130, 56)
@@ -267,7 +259,7 @@ class TestNativeDifferential:
         for k in range(used_n):
             assert np.array_equal(np.asarray(p_n[k]), np.asarray(p_c[k])), k
 
-    def test_charge_accelerator_matches_numpy(self, clean_backend):
+    def test_charge_accelerator_matches_numpy(self, request):
         """charge_planes with the native charge accelerator vs the pure
         numpy grouped-SWAR path: bit-identical energies."""
         circuit = random_layered_circuit("ncharge", 10, 5, 80, 7, seed=66)
@@ -279,7 +271,6 @@ class TestNativeDifferential:
         planes, used = plan.unit_delay_planes(w1, w2, mask)
         caps = _random_caps(plan.num_nets, 68)
         with_accel = charge_planes(planes, caps, lanes, used)
-        clean_backend.setenv("REPRO_NATIVE_BACKEND", "none")
-        reset_backend()
+        request.getfixturevalue("no_compiler")
         without = charge_planes(planes, caps, lanes, used)
         assert np.array_equal(with_accel, without)

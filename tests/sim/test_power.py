@@ -9,6 +9,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.netlist.generators import build_circuit
 from repro.netlist.library import default_library
+from repro.sim.compiled import resolve_kernel
 from repro.sim.native import native_available
 from repro.sim.power import PowerAnalyzer
 
@@ -157,12 +158,16 @@ class TestConcurrentPowers:
             pytest.param("native", "c1908", marks=requires_native),
         ],
     )
-    def test_threads_sharing_a_plan_match_serial(self, kernel, circuit_name):
+    def test_threads_sharing_a_plan_match_serial(
+        self, kernel, circuit_name, request
+    ):
         """Eight threads run unit-delay ``powers_for_pairs`` at once on
         analyzers of one circuit, so they share its cached plan (and the
-        native tier's calls overlap, each on its own per-thread
-        buffers).  Every result must equal the serial compiled run bit
-        for bit."""
+        C loop's calls overlap, each on its own per-thread buffers).
+        Every result must equal the serial run bit for bit."""
+        if kernel == "compiled":
+            request.getfixturevalue("no_compiler")
+        assert resolve_kernel() == kernel
         circuit = build_circuit(circuit_name)
         rng = np.random.default_rng(7)
         jobs = [
@@ -172,13 +177,10 @@ class TestConcurrentPowers:
             )
             for n in THREAD_JOB_SIZES
         ]
-        serial = PowerAnalyzer(circuit, mode="unit", kernel="compiled")
+        serial = PowerAnalyzer(circuit, mode="unit")
         expected = [serial.powers_for_pairs(v1, v2) for v1, v2 in jobs]
 
-        analyzers = [
-            PowerAnalyzer(circuit, mode="unit", kernel=kernel) for _ in jobs
-        ]
-        assert {a._bitsim.kernel for a in analyzers} == {kernel}
+        analyzers = [PowerAnalyzer(circuit, mode="unit") for _ in jobs]
         assert len({id(a._bitsim._plan) for a in analyzers}) == 1
         results = [None] * len(jobs)
         errors = []
