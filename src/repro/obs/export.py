@@ -105,7 +105,7 @@ _HELP: Dict[str, str] = {
     "checkpoint_results_total": "Checkpoint results loaded or written",
     "experiment_seconds": "Wall-clock time per experiment",
     "experiment_checkpoints_total": "Experiment checkpoint events",
-    "service_jobs": "Jobs currently known to the store, by state",
+    "service_jobs": "Jobs in the job store's database (all replicas), by state",
     "service_jobs_finished_total": "Jobs finished by the worker pool, by terminal state",
     "service_job_seconds": "Wall-clock time jobs spend executing",
     "service_memo_hits": "Submissions settled from the content-keyed result memo",

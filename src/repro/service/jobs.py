@@ -110,11 +110,14 @@ class JobSpec:
 
 
 class Job:
-    """One submitted job: spec plus mutable lifecycle state.
+    """One submitted job: spec plus lifecycle state.
 
-    Mutated only under the owning store's lock (workers go through the
-    store's ``mark_*`` methods); ``cancel_event`` is the cooperative
-    cancellation signal the worker's progress hooks check.
+    The store hands out either a snapshot of the job's database row,
+    which never changes after it is read, or — from ``claim_next`` — one
+    claim attempt.  The worker drives an attempt's ``trajectory``,
+    ``completed_runs`` and ``cancel_event`` (the cooperative
+    cancellation signal its progress hooks check) and settles it
+    through the store's ``mark_*`` methods.
     """
 
     def __init__(self, job_id: str, spec: JobSpec, created_at: float):
@@ -127,9 +130,10 @@ class Job:
         self.error: Optional[str] = None
         self.results: Optional[List[object]] = None  # EstimationResult list
         self.cancel_event = threading.Event()
-        #: Per-hyper-sample convergence trajectory of the current run
-        #: (single-run jobs): k, α̂/β̂/μ̂, rel CI half-width, cumulative
-        #: units — the live view of the paper's Figure 4 loop.
+        #: Per-hyper-sample convergence trajectory (single-run jobs): k,
+        #: α̂/β̂/μ̂, rel CI half-width, cumulative units — the view of
+        #: the paper's Figure 4 loop, live while an attempt runs and
+        #: stored with the job when it settles.
         self.trajectory: List[dict] = []
         #: Completed-run count (multi-run jobs).
         self.completed_runs = 0
@@ -142,10 +146,8 @@ class Job:
         #: lease lapses unless the worker heartbeat renews it first.
         self.lease_replica: Optional[str] = None
         self.lease_expires_at: Optional[float] = None
-        #: The current claim attempt (fresh :class:`JobLease` per claim,
-        #: ``None`` while unclaimed).  Process-local; workers capture it
-        #: at claim time so a steal-back re-claim never aliases the
-        #: still-unwinding previous attempt's state.
+        #: The claim attempt this object is (a fresh :class:`JobLease`
+        #: per claim; ``None`` on snapshots).  Process-local.
         self.lease: Optional[JobLease] = None
         #: Tenant (API-key header) the job was submitted under, for
         #: per-tenant admission quotas; ``None`` = anonymous.
@@ -163,11 +165,10 @@ class Job:
 
     @property
     def lease_lost(self) -> bool:
-        """Whether the *current* claim attempt lost its lease (expired
-        and reclaimed, probably by another replica).  A fresh claim has
-        a fresh lease, so a re-claimed job reads ``False`` here while
-        the orphaned previous attempt keeps its own poisoned
-        :class:`JobLease`."""
+        """Whether this claim attempt lost its lease (expired and
+        reclaimed, probably by another replica).  A re-claim is a new
+        object with a fresh lease; the orphaned attempt keeps its own
+        poisoned :class:`JobLease`."""
         return self.lease is not None and self.lease.lost
 
     @property

@@ -263,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return self._send_json(200, job.status_dict())
                 if method == "DELETE":
                     try:
-                        app.store.request_cancel(job.id)
+                        job = app.store.request_cancel(job.id)
                     except ConfigError as exc:
                         raise _ApiError(409, str(exc))
                     return self._send_json(202, job.status_dict())

@@ -1,11 +1,17 @@
 """SQLite-backed durable job + result store (the service's only store).
 
 A WAL-mode SQLite database (stdlib :mod:`sqlite3`) holds every job, its
-results and its spans:
+results and its spans.  The ``jobs``/``results`` rows are the only
+record of a job: every read goes to the database, so any replica
+sharing it serves any job, and a reopened store reads no job history
+until asked.  In memory the store keeps only the claim attempts this
+process is executing — their live trajectory, run count and cancel
+signal run ahead of the row until the attempt settles.
 
 * **No event tearing.**  Every lifecycle transition — including
   "results arrived *and* the job is completed" — is one transaction, so
   a crash can never leave results on disk with a non-terminal state.
+  The terminal commit also stores the attempt's per-k trajectory.
 * **Atomic claiming.**  Workers claim work with a compare-and-swap
   ``UPDATE ... WHERE state = 'queued'`` lease keyed by owner, so the
   store is ready to sit under N server replicas without double-running
@@ -21,13 +27,13 @@ results and its spans:
   lease back to ``queued`` so a surviving replica re-runs the job.
   Re-runs are bit-identical by the estimator's seed contract, and
   terminal commits are compare-and-swapped on the attempt's own
-  ``lease_token`` — not on mutable fields of the shared job object —
-  so a stale attempt can never double-commit, even when the *same*
-  process re-claims the job while the old attempt is still unwinding.
-  Each reclaim increments the ``service_lease_reclaims`` counter.
-  Startup recovery requeues only leases owned by this replica or
-  already expired — never a live lease held by another replica sharing
-  the database.
+  ``lease_token``, so a stale attempt can never double-commit, even
+  when the *same* process re-claims the job while the old attempt is
+  still unwinding: each claim hydrates a fresh :class:`Job`, so two
+  attempts never share an object.  Each reclaim increments the
+  ``service_lease_reclaims`` counter.  Startup recovery requeues only
+  leases owned by this replica or already expired — never a live lease
+  held by another replica sharing the database.
 * **Result memoization.**  Every job row carries a
   ``spec_fingerprint`` — the content hash of its canonical
   :func:`~repro.schemas.dump_job_spec` payload
@@ -55,13 +61,14 @@ Schema (``jobs.db``)::
          memo_hit INTEGER, lease_owner TEXT,
          trace_id TEXT, parent_span_id TEXT,
          lease_replica TEXT, lease_expires_at REAL, tenant TEXT,
-         lease_token TEXT)
+         lease_token TEXT, trajectory TEXT)
     results(job_id TEXT PRIMARY KEY, payload TEXT)  -- JSON result list
     spans(job_id TEXT PRIMARY KEY, payload TEXT)    -- JSON span records
 
 The two trace columns carry each job's span context (captured from the
-submitting request) across the queue; databases created before they
-existed are migrated in place with guarded ``ALTER TABLE``\\ s.
+submitting request) across the queue, and ``trajectory`` holds the
+settled attempt's per-k convergence records; databases created before a
+column existed are migrated in place with guarded ``ALTER TABLE``\\ s.
 
 Per-run checkpoints of multi-run jobs stay in their JSONL files
 (``<job id>.runs.jsonl``) — they are the resume unit of the
@@ -146,6 +153,7 @@ _JOBS_COLUMN_MIGRATIONS = (
     ("lease_expires_at", "REAL"),
     ("tenant", "TEXT"),
     ("lease_token", "TEXT"),
+    ("trajectory", "TEXT"),
 )
 
 #: Default seconds a claimed job may go without a heartbeat before any
@@ -255,9 +263,11 @@ def _replay_legacy_log(log_path: Path) -> Tuple[Dict[str, Job], int]:
 class SQLiteJobStore:
     """Thread-safe, durable job registry + FIFO queue on SQLite (WAL mode).
 
-    Serves in-memory :class:`Job` objects (``cancel_event`` and the live
-    ``trajectory`` are process-local by nature); the database is the
-    source of truth for everything durable.
+    Every :class:`Job` it hands out is hydrated from the database: a
+    snapshot of the row, or — from :meth:`claim_next` — one claim
+    attempt, whose ``trajectory``, ``completed_runs`` and
+    ``cancel_event`` the worker drives live.  The store remembers only
+    those attempts (``_running``) until they settle or lose their lease.
     """
 
     def __init__(
@@ -285,7 +295,8 @@ class SQLiteJobStore:
         self.lease_ttl = lease_ttl
         self._lock = threading.RLock()
         self._queue_ready = threading.Condition(self._lock)
-        self._jobs: Dict[str, Job] = {}
+        #: Job id -> the claim attempt this process is executing.
+        self._running: Dict[str, Job] = {}
         self._counter = 0
         self._requeued: List[str] = []
         self._migrated_jobs = 0
@@ -296,7 +307,7 @@ class SQLiteJobStore:
         self._conn.row_factory = sqlite3.Row
         self._init_db()
         self._migrate_legacy_log()
-        self._load()
+        self._recover()
 
     # -- database plumbing ----------------------------------------------
     def _init_db(self) -> None:
@@ -407,81 +418,77 @@ class SQLiteJobStore:
             self.legacy_log_path.with_suffix(".jsonl.migrated")
         )
 
-    # -- startup load ----------------------------------------------------
-    def _load(self) -> None:
-        """Hydrate jobs from the database; requeue unfinished ones."""
-        with self._lock:
+    # -- startup recovery -------------------------------------------------
+    def _recover(self) -> None:
+        """Settle or requeue the unfinished rows a dead process left.
+
+        Reads only rows still ``queued`` or ``running``: a store opened
+        over any amount of job history hydrates none of it.
+        """
+        with self._lock, self._tx():
             row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = 'counter'"
+                "SELECT MAX(seq) AS seq, "
+                "(SELECT value FROM meta WHERE key = 'counter') AS counter "
+                "FROM jobs"
             ).fetchone()
             self._counter = max(
-                self._counter, int(row["value"]) if row else 0
+                self._counter, int(row["counter"] or 0), int(row["seq"] or 0)
             )
+            now = time.time()
             rows = self._conn.execute(
-                "SELECT j.*, r.payload AS results_payload "
+                "SELECT j.id, j.state, j.cancel_requested, j.lease_replica, "
+                "j.lease_expires_at, r.payload AS results_payload "
                 "FROM jobs j LEFT JOIN results r ON r.job_id = j.id "
-                "ORDER BY j.created_at, j.seq"
+                "WHERE j.state IN (?, ?) ORDER BY j.created_at, j.seq",
+                (JobState.QUEUED, JobState.RUNNING),
             ).fetchall()
-            with self._tx():
-                for row in rows:
-                    job = self._hydrate(row)
-                    if job is None:
-                        continue
-                    self._jobs[job.id] = job
-                    self._counter = max(self._counter, int(row["seq"]))
-                    if job.terminal:
-                        continue
-                    now = time.time()
-                    if job.results is not None:
-                        # Defense in depth: results without a terminal
-                        # state cannot happen through this store's
-                        # transactions, but must never re-run work.
-                        job.state = JobState.COMPLETED
-                        job.completed_runs = len(job.results)
-                        job.finished_at = job.finished_at or now
-                        self._conn.execute(
-                            "UPDATE jobs SET state = ?, completed_runs = ?, "
-                            "finished_at = ? WHERE id = ?",
-                            (job.state, job.completed_runs, job.finished_at,
-                             job.id),
-                        )
-                    elif job.cancel_event.is_set():
-                        # Cancellation requested of a dead server:
-                        # finish the job off, never re-run it.
-                        job.state = JobState.CANCELLED
-                        job.finished_at = job.finished_at or now
-                        self._conn.execute(
-                            "UPDATE jobs SET state = ?, finished_at = ? "
-                            "WHERE id = ?",
-                            (job.state, job.finished_at, job.id),
-                        )
-                    else:
-                        if job.state == JobState.RUNNING and not (
-                            job.lease_replica == self.replica_id
-                            or job.lease_expires_at is None
-                            or job.lease_expires_at <= now
-                        ):
-                            # Live lease held by another replica sharing
-                            # the database: requeueing it here would
-                            # double-run the job.  Leave it running; the
-                            # reaper reclaims it if its owner dies.
-                            continue
-                        job.state = JobState.QUEUED
-                        job.started_at = None
-                        job.lease_owner = None
-                        job.lease_replica = None
-                        job.lease_expires_at = None
-                        self._conn.execute(
-                            "UPDATE jobs SET state = ?, started_at = NULL, "
-                            "lease_owner = NULL, lease_replica = NULL, "
-                            "lease_expires_at = NULL, lease_token = NULL "
-                            "WHERE id = ?",
-                            (job.state, job.id),
-                        )
-                        self._requeued.append(job.id)
-                self._persist_counter()
+            for row in rows:
+                if row["results_payload"] is not None:
+                    # Defense in depth: results without a terminal state
+                    # cannot happen through this store's transactions,
+                    # but must never re-run work.
+                    self._conn.execute(
+                        "UPDATE jobs SET state = ?, completed_runs = ?, "
+                        "finished_at = COALESCE(finished_at, ?) WHERE id = ?",
+                        (JobState.COMPLETED,
+                         len(json.loads(row["results_payload"])), now,
+                         row["id"]),
+                    )
+                elif row["cancel_requested"]:
+                    # Cancellation requested of a dead server: finish the
+                    # job off, never re-run it.
+                    self._conn.execute(
+                        "UPDATE jobs SET state = ?, "
+                        "finished_at = COALESCE(finished_at, ?) WHERE id = ?",
+                        (JobState.CANCELLED, now, row["id"]),
+                    )
+                elif row["state"] == JobState.RUNNING and not (
+                    row["lease_replica"] == self.replica_id
+                    or row["lease_expires_at"] is None
+                    or row["lease_expires_at"] <= now
+                ):
+                    # Live lease held by another replica sharing the
+                    # database: requeueing it here would double-run the
+                    # job.  Leave it running; the reaper reclaims it if
+                    # its owner dies.
+                    continue
+                else:
+                    self._conn.execute(
+                        "UPDATE jobs SET state = ?, started_at = NULL, "
+                        "lease_owner = NULL, lease_replica = NULL, "
+                        "lease_expires_at = NULL, lease_token = NULL "
+                        "WHERE id = ?",
+                        (JobState.QUEUED, row["id"]),
+                    )
+                    self._requeued.append(row["id"])
+            self._persist_counter()
 
-    def _hydrate(self, row: sqlite3.Row) -> Optional[Job]:
+    def _hydrate(
+        self, row: sqlite3.Row, results_payload: Optional[str] = None
+    ) -> Optional[Job]:
+        """A fresh :class:`Job` from a ``jobs`` row (``None`` when its
+        spec no longer loads); results are parsed only when their
+        ``results_payload`` is passed."""
         try:
             spec = load_job_spec(json.loads(row["spec"]))
         except Exception:
@@ -499,14 +506,30 @@ class SQLiteJobStore:
         job.tenant = row["tenant"]
         job.trace_id = row["trace_id"]
         job.parent_span_id = row["parent_span_id"]
+        if row["trajectory"]:
+            job.trajectory = json.loads(row["trajectory"])
         if row["cancel_requested"]:
             job.cancel_event.set()
-        if row["results_payload"] is not None:
+        if results_payload is not None:
             job.results = [
-                load_estimation_result(r)
-                for r in json.loads(row["results_payload"])
+                load_estimation_result(r) for r in json.loads(results_payload)
             ]
         return job
+
+    def _live(self, row: sqlite3.Row) -> Optional[Job]:
+        """This process's attempt at the row's job, while the row says
+        that attempt holds the lease."""
+        job = self._running.get(row["id"])
+        if job is not None and job.lease.token == row["lease_token"]:
+            return job
+        return None
+
+    def _forget(self, job_id: str, lease: JobLease) -> None:
+        """Drop ``lease``'s attempt from ``_running`` (it settled or lost
+        its lease); a newer attempt at the same job stays."""
+        job = self._running.get(job_id)
+        if job is not None and job.lease is lease:
+            del self._running[job_id]
 
     # -- migration / replay diagnostics ----------------------------------
     @property
@@ -521,6 +544,10 @@ class SQLiteJobStore:
 
     # -- job lifecycle ---------------------------------------------------
     def submit(self, spec: JobSpec, tenant: Optional[str] = None) -> Job:
+        """Record a new job (settled at once on a memo hit) and return a
+        snapshot of it.  The snapshot never changes: read later states
+        through :meth:`get`, and settle only the object
+        :meth:`claim_next` returns."""
         with self._lock:
             fingerprint = fingerprint_job_spec(spec)
             self._counter += 1
@@ -580,7 +607,6 @@ class SQLiteJobStore:
                 with self._tx():
                     self._insert_job(job, spec_json, fingerprint)
                     self._persist_counter()
-            self._jobs[job_id] = job
             if not job.terminal:
                 self._queue_ready.notify()
             return job
@@ -614,79 +640,46 @@ class SQLiteJobStore:
     def get(self, job_id: str) -> Optional[Job]:
         """Look a job up — across replicas.
 
-        A job submitted through another replica sharing the database is
-        hydrated on demand, and a non-terminal in-memory job is
-        refreshed from the database (unless this replica holds its
-        running lease, in which case local state is fresher), so any
-        replica can serve status and results for any job.
+        Returns this process's live attempt while it holds the job's
+        lease (its trajectory and run count are ahead of the row), and a
+        fresh snapshot of the database row, results included, otherwise
+        — so any replica serves status and results for any job.
         """
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                job = self._fetch(job_id)
-                if job is not None:
-                    self._jobs[job_id] = job
-            elif not job.terminal:
-                self._refresh_locked(job)
-            return job
-
-    def _fetch(self, job_id: str) -> Optional[Job]:
-        row = self._conn.execute(
-            "SELECT j.*, r.payload AS results_payload "
-            "FROM jobs j LEFT JOIN results r ON r.job_id = j.id "
-            "WHERE j.id = ?",
-            (job_id,),
-        ).fetchone()
-        return self._hydrate(row) if row is not None else None
-
-    def _refresh_locked(self, job: Job) -> None:
-        """Fold the database row's view of ``job`` into the in-memory
-        object (another replica may have claimed or settled it)."""
-        row = self._conn.execute(
-            "SELECT j.*, r.payload AS results_payload "
-            "FROM jobs j LEFT JOIN results r ON r.job_id = j.id "
-            "WHERE j.id = ?",
-            (job.id,),
-        ).fetchone()
-        if row is None:
-            return
-        if (
-            row["state"] == JobState.RUNNING
-            and row["lease_replica"] == self.replica_id
-        ):
-            # We are executing it: the live trajectory/completed_runs in
-            # memory are ahead of the database.  Nothing to fold in.
-            return
-        job.state = row["state"]
-        job.started_at = row["started_at"]
-        job.finished_at = row["finished_at"]
-        job.error = row["error"]
-        job.completed_runs = int(row["completed_runs"])
-        job.memo_hit = bool(row["memo_hit"])
-        job.lease_owner = row["lease_owner"]
-        job.lease_replica = row["lease_replica"]
-        job.lease_expires_at = row["lease_expires_at"]
-        if row["cancel_requested"]:
-            job.cancel_event.set()
-        if row["results_payload"] is not None and job.results is None:
-            job.results = [
-                load_estimation_result(r)
-                for r in json.loads(row["results_payload"])
-            ]
+            row = self._conn.execute(
+                "SELECT j.*, r.payload AS results_payload "
+                "FROM jobs j LEFT JOIN results r ON r.job_id = j.id "
+                "WHERE j.id = ?",
+                (job_id,),
+            ).fetchone()
+            if row is None:
+                return None
+            return self._live(row) or self._hydrate(row, row["results_payload"])
 
     def list(self, state: Optional[str] = None) -> List[Job]:
-        with self._lock:
-            jobs = sorted(self._jobs.values(), key=lambda j: j.created_at)
+        """Every job in the database (or in ``state``), oldest first,
+        without results; jobs this process is running show their live
+        attempt."""
+        sql, params = "SELECT * FROM jobs", ()
         if state is not None:
-            jobs = [j for j in jobs if j.state == state]
-        return jobs
+            sql, params = sql + " WHERE state = ?", (state,)
+        with self._lock:
+            rows = self._conn.execute(
+                sql + " ORDER BY created_at, seq", params
+            ).fetchall()
+            jobs = [self._live(row) or self._hydrate(row) for row in rows]
+        return [job for job in jobs if job is not None]
 
     def counts(self) -> Dict[str, int]:
-        """Jobs per state — all known states present, zeros included."""
+        """Jobs per state, database-wide — all known states present,
+        zeros included."""
         counts = {state: 0 for state in JobState.ALL}
         with self._lock:
-            for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
+            rows = self._conn.execute(
+                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
+            ).fetchall()
+        for row in rows:
+            counts[row["state"]] = int(row["n"])
         return counts
 
     def claim_next(
@@ -700,27 +693,33 @@ class SQLiteJobStore:
         (``now + lease_ttl``) and this store's ``replica_id``; expired
         leases of dead replicas are reaped opportunistically before
         looking for queued work, so work stealing needs no separate
-        scheduler.  Jobs cancelled while queued are settled and skipped
-        in the same call — a cancellation never idles the worker slot
-        for a poll interval.
+        scheduler.  Jobs cancelled while queued, and jobs whose spec no
+        longer loads, are settled and skipped in the same call — neither
+        idles the worker slot for a poll interval.
+
+        Returns a fresh :class:`Job` per claim attempt, carrying its own
+        :class:`JobLease`: a steal-back re-run never shares a lease,
+        trajectory or run count with a previous attempt that is still
+        unwinding.
         """
         with self._lock:
             self._reap_expired_locked()
-            if self._next_queued_id() is None:
+            if self._next_queued() is None:
                 self._queue_ready.wait(timeout)
             while True:
-                job_id = self._next_queued_id()
-                if job_id is None:
+                row = self._next_queued()
+                if row is None:
                     return None
-                job = self._jobs.get(job_id)
+                job = self._hydrate(row)
                 if job is None:
-                    # Submitted by another replica sharing the database.
-                    job = self._fetch(job_id)
-                    if job is None:
-                        return None
-                    self._jobs[job_id] = job
+                    # A spec that no longer loads can never run: fail the
+                    # row rather than wedge the queue behind it.
+                    self._settle_queued(
+                        row["id"], JobState.FAILED, "unreadable job spec"
+                    )
+                    continue
                 if job.cancel_event.is_set():
-                    self._settle(job, JobState.CANCELLED)
+                    self._settle_queued(job.id, JobState.CANCELLED)
                     continue
                 now = time.time()
                 expires = (
@@ -734,7 +733,7 @@ class SQLiteJobStore:
                         "lease_expires_at = ?, lease_token = ? "
                         "WHERE id = ? AND state = ?",
                         (JobState.RUNNING, now, owner, self.replica_id,
-                         expires, token, job_id, JobState.QUEUED),
+                         expires, token, job.id, JobState.QUEUED),
                     )
                 if cursor.rowcount != 1:
                     continue  # lost the lease race to another claimant
@@ -743,24 +742,28 @@ class SQLiteJobStore:
                 job.lease_owner = owner
                 job.lease_replica = self.replica_id
                 job.lease_expires_at = expires
-                # Fresh per-attempt state throughout (never reset shared
-                # fields in place): a steal-back re-run of a job whose
-                # previous attempt is still unwinding in another thread
-                # must not share its lease, trajectory buffer, or
-                # progress count — and the old attempt's poisoned
-                # JobLease must stay poisoned.
                 job.lease = JobLease(token, owner)
-                job.trajectory = []
-                job.completed_runs = 0
+                self._running[job.id] = job
                 return job
 
-    def _next_queued_id(self) -> Optional[str]:
-        row = self._conn.execute(
-            "SELECT id FROM jobs WHERE state = ? "
+    def _next_queued(self) -> Optional[sqlite3.Row]:
+        return self._conn.execute(
+            "SELECT * FROM jobs WHERE state = ? "
             "ORDER BY created_at, seq LIMIT 1",
             (JobState.QUEUED,),
         ).fetchone()
-        return row["id"] if row is not None else None
+
+    def _settle_queued(
+        self, job_id: str, state: str, error: Optional[str] = None
+    ) -> None:
+        """Settle a job no worker holds (compare-and-swap on ``queued``:
+        a claim that wins the race keeps the job)."""
+        with self._tx():
+            self._conn.execute(
+                "UPDATE jobs SET state = ?, finished_at = ?, error = ? "
+                "WHERE id = ? AND state = ?",
+                (state, time.time(), error, job_id, JobState.QUEUED),
+            )
 
     # -- lease lifecycle --------------------------------------------------
     @property
@@ -774,17 +777,13 @@ class SQLiteJobStore:
 
         The renewal is a compare-and-swap on the claim attempt's own
         ``lease_token`` (``lease`` — captured by the worker at claim
-        time; defaults to the job's current attempt): it succeeds only
-        while that exact attempt still holds the running lease.  A
-        failed renewal means the lease expired and was reclaimed — the
-        *attempt's* ``lost`` flag is set so the in-flight run's progress
-        hooks unwind promptly *without committing anything* (the
-        terminal commit is CAS-guarded on the same token).  Comparing
-        the captured token instead of mutable fields on the shared job
-        object means a same-process steal-back re-claim can never make
-        a stale attempt's renewal (or commit) pass.  ``cancel_event``
-        is deliberately left alone: it is shared with the re-run, which
-        must not inherit a poisoned signal.
+        time; defaults to ``job.lease``): it succeeds only while that
+        exact attempt still holds the running lease.  A failed renewal
+        means the lease expired and was reclaimed — the attempt's
+        ``lost`` flag is set so the in-flight run's progress hooks
+        unwind promptly *without committing anything* (the terminal
+        commit is CAS-guarded on the same token), and the store forgets
+        the attempt.
 
         A successful renewal also folds in a ``cancel_requested`` flag
         written by another replica, so cross-replica cancellation
@@ -810,9 +809,9 @@ class SQLiteJobStore:
                 )
             if cursor.rowcount != 1:
                 lease.lost = True
+                self._forget(job.id, lease)
                 return False
-            if job.lease is lease:
-                job.lease_expires_at = expires
+            job.lease_expires_at = expires
             row = self._conn.execute(
                 "SELECT cancel_requested FROM jobs WHERE id = ?", (job.id,)
             ).fetchone()
@@ -854,19 +853,11 @@ class SQLiteJobStore:
             if cursor.rowcount != 1:
                 continue  # renewed or settled between select and swap
             reclaimed.append(row["id"])
-            job = self._jobs.get(row["id"])
+            job = self._running.pop(row["id"], None)
             if job is not None:
-                if job.lease is not None:
-                    # This process held the expired lease: poison the
-                    # attempt so its progress hooks unwind, and detach
-                    # it — a re-claim mints a fresh JobLease.
-                    job.lease.lost = True
-                    job.lease = None
-                job.state = JobState.QUEUED
-                job.started_at = None
-                job.lease_owner = None
-                job.lease_replica = None
-                job.lease_expires_at = None
+                # This process held the expired lease: poison the attempt
+                # so its progress hooks unwind without committing.
+                job.lease.lost = True
             _METRICS.counter("service_lease_reclaims").inc()
         if reclaimed:
             self._queue_ready.notify_all()
@@ -876,46 +867,42 @@ class SQLiteJobStore:
         self,
         job: Job,
         state: str,
+        lease: Optional[JobLease] = None,
         error: Optional[str] = None,
         results: Optional[List[object]] = None,
-        require_lease: bool = False,
-        lease: Optional[JobLease] = None,
     ) -> bool:
-        """Move a job to a terminal state in one transaction (with its
-        results, when completing) — the write that must never tear.
+        """Move a claimed job to a terminal state in one transaction —
+        with its results when completing, and the attempt's trajectory —
+        the write that must never tear.
 
-        With ``require_lease`` the transition is a compare-and-swap on
-        the committing attempt's own ``lease_token`` (``lease`` —
-        captured by the worker at claim time; defaults to the job's
-        current attempt): a worker whose lease expired and was stolen —
-        by another replica *or* by a re-claim in this very process —
-        can never double-commit.  Returns whether the commit happened;
-        on a lost lease the attempt is poisoned and the in-memory job
-        refreshed to the database's (the winner's) view instead.
+        The transition is a compare-and-swap on the committing attempt's
+        own ``lease_token`` (``lease`` — captured by the worker at claim
+        time; defaults to ``job.lease``): an attempt whose lease expired
+        and was stolen — by another replica *or* by a re-claim in this
+        very process — can never double-commit.  Returns whether the
+        commit happened; on a lost lease the attempt is poisoned
+        instead.  An object that holds no lease (a snapshot from
+        :meth:`submit`, :meth:`get` or :meth:`list`) raises
+        :class:`~repro.errors.ConfigError`: it could commit nothing.
         """
         if lease is None:
             lease = job.lease
+        if lease is None:
+            raise ConfigError(
+                f"job {job.id} holds no lease: settle the object "
+                "claim_next() returned"
+            )
+        runs = len(results) if results is not None else job.completed_runs
         now = time.time()
         with self._tx():
-            sql = (
+            cursor = self._conn.execute(
                 "UPDATE jobs SET state = ?, finished_at = ?, error = ?, "
-                "completed_runs = ?, lease_expires_at = NULL, "
-                "lease_token = NULL WHERE id = ?"
+                "completed_runs = ?, trajectory = ?, "
+                "lease_expires_at = NULL, lease_token = NULL "
+                "WHERE id = ? AND state = ? AND lease_token IS ?",
+                (state, now, error, runs, json.dumps(job.trajectory),
+                 job.id, JobState.RUNNING, lease.token),
             )
-            params: List[object] = [
-                state,
-                now,
-                error,
-                len(results) if results is not None else job.completed_runs,
-                job.id,
-            ]
-            if require_lease:
-                sql += " AND state = ? AND lease_token IS ?"
-                params += [
-                    JobState.RUNNING,
-                    lease.token if lease is not None else None,
-                ]
-            cursor = self._conn.execute(sql, params)
             committed = cursor.rowcount == 1
             if committed and results is not None:
                 self._conn.execute(
@@ -928,106 +915,72 @@ class SQLiteJobStore:
                         ),
                     ),
                 )
+        self._forget(job.id, lease)
         if not committed:
-            if lease is not None:
-                lease.lost = True
-            self._refresh_locked(job)
+            lease.lost = True
             return False
         if results is not None:
             job.results = list(results)
-            job.completed_runs = len(job.results)
+        job.completed_runs = runs
         job.state = state
         job.finished_at = now
         job.error = error
-        if job.lease is lease:
-            job.lease = None  # the attempt settled the job; lease is done
         return True
 
     def mark_completed(
         self, job: Job, results: List[object], lease: Optional[JobLease] = None
     ) -> None:
         with self._lock:
-            self._settle(
-                job, JobState.COMPLETED, results=list(results),
-                require_lease=True, lease=lease,
-            )
+            self._settle(job, JobState.COMPLETED, lease, results=list(results))
 
     def mark_failed(
         self, job: Job, error: str, lease: Optional[JobLease] = None
     ) -> None:
         with self._lock:
-            self._settle(
-                job, JobState.FAILED, error=error, require_lease=True,
-                lease=lease,
-            )
+            self._settle(job, JobState.FAILED, lease, error=error)
 
     def mark_cancelled(self, job: Job, lease: Optional[JobLease] = None) -> None:
         with self._lock:
-            if lease is None:
-                lease = job.lease
-            if lease is not None and lease.lost:
-                # The reaper already flipped the local job back to queued
-                # (or another replica re-claimed it): this worker's
-                # cancel must not clobber the stolen job's lifecycle.
-                self._refresh_locked(job)
-                return
-            require = job.state == JobState.RUNNING and lease is not None
-            self._settle(
-                job, JobState.CANCELLED, require_lease=require, lease=lease
-            )
+            self._settle(job, JobState.CANCELLED, lease)
 
     def request_cancel(self, job_id: str) -> Job:
-        """Flag a job for cancellation (raises ``KeyError`` if unknown,
+        """Flag a job for cancellation and return it as it now stands
+        (raises ``KeyError`` if unknown,
         :class:`~repro.errors.ConfigError` if already terminal).
 
-        Works across replicas: a job running elsewhere gets its
-        ``cancel_requested`` flag set in the shared database, which the
-        owning replica folds into its live ``cancel_event`` at the next
-        heartbeat renewal.
+        A queued job settles as ``cancelled`` in the transaction that
+        records the request (CAS-guarded on ``queued``: a job a worker
+        already claimed gets only the flag).  A job this process runs
+        sees the request at its next progress hook; one running on
+        another replica sharing the database, when that replica's next
+        heartbeat renewal folds the flag in.
         """
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                job = self._fetch(job_id)
-                if job is None:
+            with self._tx():
+                row = self._conn.execute(
+                    "SELECT state FROM jobs WHERE id = ?", (job_id,)
+                ).fetchone()
+                if row is None:
                     raise KeyError(job_id)
-                self._jobs[job_id] = job
-            elif not job.terminal:
-                self._refresh_locked(job)
-            if job.terminal:
-                raise ConfigError(
-                    f"job {job_id} is already {job.state}; nothing to cancel"
+                if row["state"] in JobState.TERMINAL:
+                    raise ConfigError(
+                        f"job {job_id} is already {row['state']}; "
+                        "nothing to cancel"
+                    )
+                self._conn.execute(
+                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
+                    (job_id,),
                 )
-            job.cancel_event.set()
-            if job.state == JobState.QUEUED:
-                # Not yet leased by any worker: settle it immediately
-                # (the same transaction records the request).  The settle
-                # is CAS-guarded on 'queued' — if another replica claims
-                # the job in between, only the request flag is recorded
-                # and the owner aborts at its next heartbeat.
-                now = time.time()
-                with self._tx():
-                    cursor = self._conn.execute(
-                        "UPDATE jobs SET cancel_requested = 1, state = ?, "
-                        "finished_at = ? WHERE id = ? AND state = ?",
-                        (JobState.CANCELLED, now, job_id, JobState.QUEUED),
-                    )
-                    if cursor.rowcount != 1:
-                        self._conn.execute(
-                            "UPDATE jobs SET cancel_requested = 1 "
-                            "WHERE id = ?",
-                            (job_id,),
-                        )
-                if cursor.rowcount == 1:
-                    job.state = JobState.CANCELLED
-                    job.finished_at = now
-            else:
-                with self._tx():
-                    self._conn.execute(
-                        "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
-                        (job_id,),
-                    )
-            return job
+                self._conn.execute(
+                    "UPDATE jobs SET state = ?, finished_at = ? "
+                    "WHERE id = ? AND state = ?",
+                    (JobState.CANCELLED, time.time(), job_id,
+                     JobState.QUEUED),
+                )
+            live = self._running.get(job_id)
+            if live is not None:
+                live.cancel_event.set()
+            return self.get(job_id)
 
     # -- span persistence -------------------------------------------------
     def save_spans(self, job_id: str, spans: List[dict]) -> None:
@@ -1112,10 +1065,13 @@ class SQLiteJobStore:
         return int(row["n"])
 
     def memo_stats(self) -> Dict[str, object]:
-        """Memo effectiveness over every job this store knows about."""
+        """Memo effectiveness over every job in the database."""
         with self._lock:
-            total = len(self._jobs)
-            hits = sum(1 for job in self._jobs.values() if job.memo_hit)
+            row = self._conn.execute(
+                "SELECT COUNT(*) AS jobs, COALESCE(SUM(memo_hit), 0) AS hits "
+                "FROM jobs"
+            ).fetchone()
+        total, hits = int(row["jobs"]), int(row["hits"])
         return {
             "hits": hits,
             "jobs": total,

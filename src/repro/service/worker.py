@@ -19,18 +19,15 @@ renews the lease of every in-flight claim attempt each
 ``store.heartbeat_interval`` seconds — independent of estimator
 progress, so a long fit step can't silently lose a healthy job — and
 reaps expired leases of dead replicas back to ``queued`` (work
-stealing).  Each worker captures its claim attempt's
-:class:`~repro.service.jobs.JobLease` when it picks the job up; all
-per-attempt bookkeeping (the in-flight registry the keeper renews, the
-abort checks in the progress hooks, the terminal commit's CAS token)
-goes through that captured lease, never through mutable fields of the
-shared job object — so when a reaped job is re-claimed by another
-thread of the same pool while the old attempt is still unwinding, the
-two attempts cannot interfere.  A worker whose lease was reclaimed
-observes ``lease.lost`` in its progress hooks, unwinds without
-committing (the store's terminal commit is CAS-guarded on the lease
-token anyway), and is counted under
-``service_jobs_finished_total{state="lease_lost"}``.
+stealing).  Every claim hands the worker a fresh
+:class:`~repro.service.jobs.Job` carrying its own
+:class:`~repro.service.jobs.JobLease`, trajectory and run count, so
+when a reaped job is re-claimed by another thread of the same pool
+while the old attempt is still unwinding, the two attempts cannot
+interfere.  A worker whose lease was reclaimed observes ``lease.lost``
+in its progress hooks, unwinds without committing (the store's
+terminal commit is CAS-guarded on the lease token anyway), and is
+counted under ``service_jobs_finished_total{state="lease_lost"}``.
 
 Populations are cached per worker pool (small LRU keyed on the exact
 build arguments) so repeated jobs against the same circuit skip the
@@ -195,11 +192,8 @@ class WorkerPool:
         return population
 
     def _execute(self, job: Job) -> None:
-        # Capture this attempt's lease before anything else: the shared
-        # job object's `lease` is swapped by a steal-back re-claim, and
-        # every check/commit below must be against *this* attempt's.
         lease = job.lease
-        active_key = (job.id, lease.token if lease is not None else None)
+        active_key = (job.id, lease.token)
         with self._busy_lock:
             self._busy += 1
             self._active[active_key] = (job, lease)
@@ -279,16 +273,12 @@ class WorkerPool:
         by the reaper — this attempt no longer owns the job) is never
         committed: the store's token CAS would reject the write anyway,
         the re-run owns the lifecycle now, and the abandoned attempt is
-        counted as ``state="lease_lost"``.  All checks are against the
-        *captured* lease, never ``job.lease`` — a same-pool re-claim
-        swaps the latter.
+        counted as ``state="lease_lost"``.
         """
-        lost = lease is not None and lease.lost
-        if not lost:
+        if not lease.lost:
             with _SPANS.span("job.commit", job_id=job.id, state=state):
                 commit(job)
-            lost = lease is not None and lease.lost
-        if lost:
+        if lease.lost:
             # Either detected before the commit or discovered by the
             # commit's own lease CAS: nothing was written.
             state = "lease_lost"
@@ -311,45 +301,30 @@ class WorkerPool:
     def _run(self, job: Job, lease) -> List[object]:
         spec = job.spec
         population = self._population_for(job)
-        lost = (lambda: lease.lost) if lease is not None else (lambda: False)
         if spec.num_runs == 1:
             # The config's method field picks the engine (fixed block
             # maxima, POT, or the adaptive controller) — all share the
             # run(rng, progress) contract, so cancellation and the live
             # trajectory work identically.
             estimator = build_estimator(population, spec.config)
-            # Capture this attempt's buffer: a steal-back re-run swaps in
-            # a fresh list on job.trajectory, and a still-unwinding old
-            # attempt must keep writing to its own orphaned one.
-            trajectory = job.trajectory
 
             def progress(hs, interval, cumulative_units):
-                if job.cancel_event.is_set() or lost():
+                if job.cancel_event.is_set() or lease.lost:
                     raise JobCancelledError(f"job {job.id} cancelled")
-                trajectory.append(
+                job.trajectory.append(
                     _trajectory_entry(hs, interval, cumulative_units)
                 )
 
             result = estimator.run(
                 rng=np.random.default_rng(spec.seed + 1), progress=progress
             )
-            if job.lease is lease:
-                job.completed_runs = 1
+            job.completed_runs = 1
             return [result]
 
-        # Per-attempt run counter, published to the shared job only
-        # while this attempt still owns it: an orphaned old attempt
-        # bumping job.completed_runs would make status/SSE over-report
-        # the live re-run's progress (and emit spurious run events).
-        completed = 0
-
         def on_result(index: int, result) -> None:
-            nonlocal completed
-            if job.cancel_event.is_set() or lost():
+            if job.cancel_event.is_set() or lease.lost:
                 raise JobCancelledError(f"job {job.id} cancelled")
-            completed += 1
-            if job.lease is lease:
-                job.completed_runs = completed
+            job.completed_runs += 1
 
         return run_many(
             population,

@@ -736,30 +736,6 @@ class CompiledPlan:
         return state
 
     # ------------------------------------------------------------------
-    def toggle_energy_zero_delay(
-        self,
-        v1_words: np.ndarray,
-        v2_words: np.ndarray,
-        num_lanes: int,
-        net_caps: np.ndarray,
-    ) -> np.ndarray:
-        """Per-lane capacitance-weighted toggle sum, zero-delay."""
-        s1 = self.steady_state(v1_words, num_lanes)
-        s2 = self.steady_state(v2_words, num_lanes)
-        diff = s1 ^ s2
-        caps = np.asarray(net_caps, dtype=np.float64)
-        idx = np.flatnonzero(diff.any(axis=1) & (caps != 0.0))
-        return charge_rows(diff[idx], caps[idx], num_lanes)
-
-    def toggle_counts_zero_delay(
-        self, v1_words: np.ndarray, v2_words: np.ndarray, num_lanes: int
-    ) -> np.ndarray:
-        """Unweighted per-net toggle totals (summed over lanes)."""
-        s1 = self.steady_state(v1_words, num_lanes)
-        s2 = self.steady_state(v2_words, num_lanes)
-        return popcount_rows(s1 ^ s2)
-
-    # ------------------------------------------------------------------
     def unit_delay_planes(
         self,
         v1_words: np.ndarray,

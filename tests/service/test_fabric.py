@@ -168,13 +168,12 @@ class TestLeaseLifecycle:
     def test_same_process_steal_back_cannot_double_commit(
         self, tmp_path, metrics
     ):
-        # The intra-replica race: one store, one shared Job object.  The
-        # job's lease expires mid-run, the reaper reclaims it, and the
-        # SAME store re-claims it while the old attempt is still
-        # unwinding.  The old attempt must stay poisoned (the re-claim
-        # used to reset job.lease_lost) and its commit must lose the
-        # token CAS (it used to compare against the live lease fields
-        # the re-claim had just overwritten).
+        # The intra-replica race: one store.  The job's lease expires
+        # mid-run, the reaper reclaims it, and the SAME store re-claims
+        # it while the old attempt is still unwinding.  The old attempt
+        # must stay poisoned (a re-claim once reset job.lease_lost) and
+        # its commit must lose the token CAS (it once compared against
+        # live lease fields the re-claim had just overwritten).
         store = SQLiteJobStore(tmp_path, replica_id="r1", lease_ttl=0.15)
         submitted = store.submit(make_spec())
         job = store.claim_next(timeout=0.01, owner="w0")
@@ -184,21 +183,22 @@ class TestLeaseLifecycle:
         assert lease_a.lost  # the reap poisons the expired attempt
 
         rejob = store.claim_next(timeout=0.01, owner="w1")
-        assert rejob is job  # same shared object, by construction
-        lease_b = job.lease
+        assert store.get(rejob.id) is rejob  # the re-claim is the live one
+        lease_b = rejob.lease
         assert lease_b is not lease_a
         assert lease_a.lost  # re-claiming must not un-poison attempt A
-        assert not job.lease_lost  # ...while the live attempt is clean
+        assert not rejob.lease_lost  # ...while the live attempt is clean
 
         # Old attempt finishes its orphaned run and tries to commit:
-        # the token CAS rejects it even though job.lease_owner and
-        # job.lease_replica now describe attempt B on this replica.
+        # the token CAS rejects it even though the row's lease_owner and
+        # lease_replica now describe attempt B on this replica.
         store.mark_completed(job, [fake_result(99.0)], lease=lease_a)
         assert committed_results(tmp_path, submitted.id) is None
+        assert store.get(rejob.id) is rejob
         assert store.renew_lease(job, lease_a) is False
-        assert store.renew_lease(job, lease_b) is True
+        assert store.renew_lease(rejob, lease_b) is True
 
-        store.mark_completed(job, [fake_result(2.0)], lease=lease_b)
+        store.mark_completed(rejob, [fake_result(2.0)], lease=lease_b)
         payload = committed_results(tmp_path, submitted.id)
         assert len(payload) == 1  # exactly one committed execution
         assert payload[0]["estimate"] == 2.0  # ...the live attempt's
@@ -216,9 +216,9 @@ class TestLeaseLifecycle:
         time.sleep(0.2)
         store.reap_expired()
         rejob = store.claim_next(timeout=0.01, owner="w1")
-        assert rejob is job
-        assert job.completed_runs == 0
-        assert job.trajectory == [] and job.trajectory is not old_trajectory
+        assert store.get(rejob.id) is rejob
+        assert rejob.completed_runs == 0
+        assert rejob.trajectory == [] and rejob.trajectory is not old_trajectory
 
     def test_stale_attempt_unwind_keeps_live_attempt_registered(
         self, tmp_path, metrics, monkeypatch
@@ -291,6 +291,37 @@ class TestLeaseLifecycle:
         assert job.cancel_event.is_set()
 
 
+class TestCrossReplicaViews:
+    def test_every_replica_reads_the_same_jobs(self, tmp_path):
+        # Listing, counting, memo stats and a settled job's trajectory
+        # come from the database, so replica B sees replica A's work and
+        # a reopened store sees both.
+        a = SQLiteJobStore(tmp_path, replica_id="a", lease_ttl=30.0)
+        b = SQLiteJobStore(tmp_path, replica_id="b", lease_ttl=30.0)
+        first = a.submit(make_spec(seed=1))
+        second = a.submit(make_spec(seed=2))
+        assert b.counts()[JobState.QUEUED] == 2
+        assert [j.id for j in b.list()] == [first.id, second.id]
+
+        claimed = a.claim_next(timeout=0.01, owner="wa")
+        claimed.trajectory.extend([{"k": 1}, {"k": 2}])
+        a.mark_completed(claimed, [fake_result(2.0)])
+        assert a.submit(make_spec(seed=1)).memo_hit is True
+
+        counts = b.counts()
+        assert counts[JobState.COMPLETED] == 2
+        assert counts[JobState.QUEUED] == 1
+        assert [j.id for j in b.list(state=JobState.QUEUED)] == [second.id]
+        assert b.memo_stats() == {"hits": 1, "jobs": 3, "ratio": 1 / 3}
+        trajectory = [{"k": 1}, {"k": 2}]
+        assert a.get(first.id).status_dict()["trajectory"] == trajectory
+        assert b.get(first.id).status_dict()["trajectory"] == trajectory
+        a.close()
+        b.close()
+        reborn = SQLiteJobStore(tmp_path, replica_id="c")
+        assert reborn.get(first.id).status_dict()["trajectory"] == trajectory
+
+
 class TestTwoReplicaService:
     def test_submit_on_one_replica_completes_on_other(
         self, fabric, quick_spec
@@ -300,9 +331,19 @@ class TestTwoReplicaService:
         backend = fabric("shared", workers=1, lease_ttl=30.0)
         assert frontend.replica_id != backend.replica_id
 
-        job = Client(frontend.url, timeout=10.0).submit(quick_spec)
-        status = Client(backend.url, timeout=10.0).wait(job["id"], timeout=30)
+        front = Client(frontend.url, timeout=10.0)
+        back = Client(backend.url, timeout=10.0)
+        job = front.submit(quick_spec)
+        status = back.wait(job["id"], timeout=30)
         assert status["state"] == "completed"
+
+        # The frontend never ran the job, yet reports it like the
+        # backend does: its counts and status read the shared database.
+        assert front.health()["jobs"]["completed"] == 1
+        assert 'repro_service_jobs{state="completed"} 1' in front.metrics()
+        trajectory = back.status(job["id"])["trajectory"]
+        assert trajectory
+        assert front.status(job["id"])["trajectory"] == trajectory
 
     def test_killed_replica_job_stolen_bit_identical(
         self, fabric, tmp_path, quick_spec

@@ -9,6 +9,7 @@ migration settles each job.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -101,6 +102,15 @@ def cancel_requested(job_id: str, t: float) -> dict:
     return {"event": "cancel_requested", "id": job_id, "t": t}
 
 
+def flag_cancel_requested(state_dir, job_id: str) -> None:
+    """Set a row's ``cancel_requested`` flag straight in ``jobs.db`` — a
+    cancel recorded while the job was leased, never acknowledged."""
+    with sqlite3.connect(state_dir / "jobs.db") as conn:
+        conn.execute(
+            "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
+        )
+
+
 def write_legacy_log(state_dir, *events, header=LOG_HEADER, tail=""):
     """Write ``<state_dir>/jobs.jsonl``: the header (unless ``None``),
     one JSON object a line, then ``tail`` verbatim (a torn append)."""
@@ -155,15 +165,14 @@ class TestJobStore:
     def test_cancel_queued_job_settles_immediately(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         job = store.submit(make_spec())
-        store.request_cancel(job.id)
-        assert job.state == JobState.CANCELLED
+        assert store.request_cancel(job.id).state == JobState.CANCELLED
+        assert store.get(job.id).state == JobState.CANCELLED
         assert store.claim_next(timeout=0.01) is None
 
     def test_cancel_terminal_job_conflicts(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         job = store.submit(make_spec())
-        store.claim_next(timeout=0.01)
-        store.mark_completed(job, [fake_result()])
+        store.mark_completed(store.claim_next(timeout=0.01), [fake_result()])
         with pytest.raises(ConfigError, match="already"):
             store.request_cancel(job.id)
 
@@ -175,8 +184,7 @@ class TestJobStore:
         store = SQLiteJobStore(tmp_path)
         done = store.submit(make_spec(seed=1))
         store.submit(make_spec(seed=2))
-        store.claim_next(timeout=0.01)
-        store.mark_completed(done, [fake_result()])
+        store.mark_completed(store.claim_next(timeout=0.01), [fake_result()])
         assert [j.id for j in store.list(state=JobState.COMPLETED)] == [done.id]
         assert len(store.list()) == 2
 
@@ -327,11 +335,11 @@ class TestReplayRegressions:
         store = SQLiteJobStore(tmp_path)
         first = store.submit(make_spec(seed=1))
         second = store.submit(make_spec(seed=2))
-        first.cancel_event.set()  # cancelled while queued, unacknowledged
+        flag_cancel_requested(tmp_path, first.id)  # queued, unacknowledged
         claimed = store.claim_next(timeout=0.01)
         assert claimed is not None and claimed.id == second.id
         assert claimed.state == JobState.RUNNING
-        assert first.state == JobState.CANCELLED
+        assert store.get(first.id).state == JobState.CANCELLED
 
     def test_counter_counts_jobs_dropped_for_unreadable_specs(self, tmp_path):
         # A job whose spec no longer loads is dropped from the import,
@@ -352,7 +360,10 @@ class TestReplayRegressions:
     def test_counts_tolerates_unknown_state_strings(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         job = store.submit(make_spec())
-        job.state = "zombie"  # e.g. a corrupt row hydrated into memory
+        with sqlite3.connect(tmp_path / "jobs.db") as conn:  # a corrupt row
+            conn.execute(
+                "UPDATE jobs SET state = 'zombie' WHERE id = ?", (job.id,)
+            )
         counts = store.counts()  # KeyError before the fix
         assert counts["zombie"] == 1
         assert counts[JobState.QUEUED] == 0

@@ -18,12 +18,14 @@ from repro.api import EstimatorConfig
 from repro.errors import ConfigError, SchemaError
 from repro.obs.metrics import get_registry
 from repro.schemas import SCHEMA_VERSION, fingerprint_job_spec
+from repro.service import store as store_module
 from repro.service.jobs import JobState
 from repro.service.store import SQLiteJobStore
 
 from .test_jobs import (
     cancel_requested,
     fake_result,
+    flag_cancel_requested,
     make_spec,
     result,
     state,
@@ -54,9 +56,11 @@ class TestLifecycle:
         assert claimed.id == job.id
         assert claimed.state == JobState.RUNNING
         assert claimed.lease_owner == "worker-0"
-        store.mark_completed(job, [fake_result(2.5)])
-        assert job.state == JobState.COMPLETED
-        assert job.completed_runs == 1
+        store.mark_completed(claimed, [fake_result(2.5)])
+        assert claimed.state == JobState.COMPLETED
+        done = store.get(job.id)
+        assert done.state == JobState.COMPLETED
+        assert done.completed_runs == 1
         assert store.counts()[JobState.COMPLETED] == 1
 
     def test_claim_is_fifo(self, tmp_path):
@@ -72,21 +76,52 @@ class TestLifecycle:
         store = SQLiteJobStore(tmp_path)
         first = store.submit(make_spec(seed=1))
         second = store.submit(make_spec(seed=2))
-        first.cancel_event.set()  # cancelled while queued, unacknowledged
+        flag_cancel_requested(tmp_path, first.id)  # queued, unacknowledged
         claimed = store.claim_next(timeout=0.01)
         assert claimed is not None and claimed.id == second.id
-        assert first.state == JobState.CANCELLED
+        assert store.get(first.id).state == JobState.CANCELLED
+
+    def test_claim_fails_unreadable_head_and_claims_next(self, tmp_path):
+        # A queued row whose spec no longer loads used to make every
+        # claim return None while the good job behind it waited forever.
+        store = SQLiteJobStore(tmp_path)
+        broken = store.submit(make_spec(seed=1))
+        good = store.submit(make_spec(seed=2))
+        with sqlite3.connect(tmp_path / "jobs.db") as probe:
+            probe.execute(
+                "UPDATE jobs SET spec = '{}' WHERE id = ?", (broken.id,)
+            )
+        claimed = store.claim_next(timeout=0.01)
+        assert claimed is not None and claimed.id == good.id
+        assert store.queue_depth() == 0
+        with sqlite3.connect(tmp_path / "jobs.db") as probe:
+            state, error = probe.execute(
+                "SELECT state, error FROM jobs WHERE id = ?", (broken.id,)
+            ).fetchone()
+        assert state == JobState.FAILED
+        assert error == "unreadable job spec"
 
     def test_cancel_queued_job_settles_immediately(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         job = store.submit(make_spec())
-        store.request_cancel(job.id)
-        assert job.state == JobState.CANCELLED
+        assert store.request_cancel(job.id).state == JobState.CANCELLED
+        assert store.get(job.id).state == JobState.CANCELLED
         assert store.claim_next(timeout=0.01) is None
         with pytest.raises(ConfigError, match="already"):
             store.request_cancel(job.id)
         with pytest.raises(KeyError):
             store.request_cancel("job-999999-dead")
+
+    def test_commit_needs_a_claimed_attempt(self, tmp_path):
+        # submit()'s object holds no lease: committing through it used
+        # to lose the token CAS silently and write nothing.
+        store = SQLiteJobStore(tmp_path)
+        job = store.submit(make_spec())
+        with pytest.raises(ConfigError, match="holds no lease"):
+            store.mark_completed(job, [fake_result()])
+        with pytest.raises(ConfigError, match="holds no lease"):
+            store.mark_failed(job, "boom")
+        assert store.get(job.id).state == JobState.QUEUED
 
     def test_status_dict_matches_legacy_fields(self, tmp_path):
         # The key set of GET /v1/jobs/{id} documented in docs/api.md.
@@ -113,8 +148,8 @@ class TestLifecycle:
         # commit point can the database hold results beside a
         # non-terminal state (the JSONL log's torn-tail failure mode).
         store = SQLiteJobStore(tmp_path)
-        job = store.submit(make_spec())
-        store.claim_next(timeout=0.01)
+        store.submit(make_spec())
+        job = store.claim_next(timeout=0.01)
         store.mark_completed(job, [fake_result(1.5)])
         with sqlite3.connect(tmp_path / "jobs.db") as probe:
             state, payload = probe.execute(
@@ -130,8 +165,10 @@ class TestRestart:
     def test_completed_job_survives_restart_with_progress(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         job = store.submit(make_spec(num_runs=3))
-        store.claim_next(timeout=0.01)
-        store.mark_completed(job, [fake_result(v) for v in (1.0, 2.0, 3.0)])
+        claimed = store.claim_next(timeout=0.01)
+        store.mark_completed(
+            claimed, [fake_result(v) for v in (1.0, 2.0, 3.0)]
+        )
         store.close()
 
         reborn = SQLiteJobStore(tmp_path)
@@ -167,6 +204,29 @@ class TestRestart:
         assert reborn.get(job.id).state == JobState.CANCELLED
         assert reborn.requeued_ids == []
 
+    def test_reopen_reads_no_job_history(self, tmp_path, monkeypatch):
+        # Startup touches only unfinished rows, and listing or counting
+        # jobs never parses a results payload.
+        store = SQLiteJobStore(tmp_path)
+        for seed in range(3):
+            store.submit(make_spec(seed=seed))
+            store.mark_completed(
+                store.claim_next(timeout=0.01), [fake_result(float(seed))]
+            )
+        store.close()
+        parsed = []
+        real = store_module.load_estimation_result
+        monkeypatch.setattr(
+            store_module,
+            "load_estimation_result",
+            lambda payload: parsed.append(payload) or real(payload),
+        )
+        reborn = SQLiteJobStore(tmp_path)
+        assert reborn._running == {}
+        assert len(reborn.list()) == 3
+        assert reborn.counts()[JobState.COMPLETED] == 3
+        assert parsed == []
+
     def test_id_counter_continues_after_restart(self, tmp_path):
         store = SQLiteJobStore(tmp_path)
         first = store.submit(make_spec())
@@ -178,9 +238,8 @@ class TestRestart:
 class TestMemoization:
     def complete_one(self, store, spec):
         job = store.submit(spec)
-        store.claim_next(timeout=0.01)
-        store.mark_completed(job, [fake_result(3.25)])
-        return job
+        store.mark_completed(store.claim_next(timeout=0.01), [fake_result(3.25)])
+        return store.get(job.id)
 
     def test_identical_spec_settles_from_memo(self, tmp_path, metrics):
         store = SQLiteJobStore(tmp_path)
@@ -237,9 +296,8 @@ class TestMemoization:
 
     def test_failed_and_cancelled_jobs_never_memoize(self, tmp_path, metrics):
         store = SQLiteJobStore(tmp_path)
-        failed = store.submit(make_spec())
-        store.claim_next(timeout=0.01)
-        store.mark_failed(failed, "boom")
+        store.submit(make_spec())
+        store.mark_failed(store.claim_next(timeout=0.01), "boom")
         assert store.submit(make_spec()).state == JobState.QUEUED
 
 
@@ -374,7 +432,7 @@ class TestMigration:
         store = SQLiteJobStore(tmp_path)
         completed = store.list(state=JobState.COMPLETED)
         assert len(completed) == 1
-        assert completed[0].results[0].estimate == 4.5
+        assert store.get(completed[0].id).results[0].estimate == 4.5
         assert completed[0].completed_runs == 1
         fresh = store.submit(make_spec(seed=9))
         taken = {int(j.id.split("-")[1]) for j in store.list()} - {
