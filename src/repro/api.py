@@ -37,7 +37,7 @@ from typing import Callable, List, Optional, Union
 
 from .errors import ConfigError
 from .estimation.adaptive import build_estimator
-from .estimation.mc_estimator import MaxPowerEstimator
+from .estimation.mc_estimator import MaxPowerEstimator, check_run_settings
 from .estimation.parallel import (
     SeedLike,
     hyper_sample_many as _hyper_sample_many,
@@ -68,8 +68,8 @@ class EstimatorConfig:
 
     The statistical fields mirror
     :class:`~repro.estimation.mc_estimator.MaxPowerEstimator` (and are
-    validated identically, so a bad config fails at construction, not
-    deep inside a worker); the execution fields mirror the
+    validated by the same check, so a bad config fails at construction,
+    not deep inside a worker); the execution fields mirror the
     fault-tolerant :func:`repro.estimation.parallel.run_many` scheduler.
 
     Attributes
@@ -98,7 +98,8 @@ class EstimatorConfig:
         §3.4 quantile correction toggle; ``None`` = apply exactly when
         the population reports a finite size.
     upper_bound:
-        Optional physical ceiling on the metric; estimates are clipped.
+        Optional physical ceiling on the metric; every method clips its
+        fitted round estimates to it.
     pot_threshold_quantile:
         POT threshold policy: exceedances above this empirical batch
         quantile feed the GPD fit.  Required for ``method="pot"``;
@@ -140,16 +141,7 @@ class EstimatorConfig:
             raise ConfigError("sample size n must be >= 2")
         if self.m < 3:
             raise ConfigError("need m >= 3 block maxima for the MLE")
-        if not 0.0 < self.error < 1.0:
-            raise ConfigError("error must be in (0, 1)")
-        if not 0.0 < self.confidence < 1.0:
-            raise ConfigError("confidence must be in (0, 1)")
-        if self.min_hyper_samples < 2:
-            raise ConfigError("min_hyper_samples must be >= 2")
-        if self.max_hyper_samples < self.min_hyper_samples:
-            raise ConfigError("max_hyper_samples < min_hyper_samples")
-        if self.upper_bound is not None and self.upper_bound <= 0:
-            raise ConfigError("upper_bound must be positive")
+        check_run_settings(self)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.retries < 0:
@@ -311,8 +303,9 @@ def estimate(
     :class:`~repro.netlist.circuit.Circuit`, or a pre-built
     :class:`~repro.vectors.population.PowerPopulation`; everything else
     comes from ``config`` (see the module docstring for the seed
-    contract).  ``progress`` is forwarded to
-    :meth:`MaxPowerEstimator.run` and fires once per hyper-sample.
+    contract).  ``progress`` is forwarded to the estimator's run and
+    fires once per hyper-sample (see
+    :func:`~repro.estimation.mc_estimator.run_sequential`).
     """
     import numpy as np
 

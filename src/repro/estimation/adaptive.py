@@ -49,7 +49,7 @@ from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
-from .mc_estimator import MaxPowerEstimator
+from .mc_estimator import MaxPowerEstimator, check_run_settings
 from .pot import DEFAULT_POT_THRESHOLD_QUANTILE, PeaksOverThresholdEstimator
 from .result import AdaptiveDecision, EstimationResult
 from .tuner import BlockSizeTuner
@@ -96,6 +96,9 @@ class AdaptiveMaxPowerEstimator:
     pot_threshold_quantile, pot_batch_size:
         Overrides for the POT engine if it wins the cross-validation
         (defaults: top 10 % exceedances, n·m units per round).
+
+    The production-run targets are validated at construction, as the
+    engines validate them, so a bad setting fails before the pilot.
     """
 
     def __init__(
@@ -126,17 +129,20 @@ class AdaptiveMaxPowerEstimator:
         self.confidence = confidence
         self.min_hyper_samples = min_hyper_samples
         self.max_hyper_samples = max_hyper_samples
-        self.finite_correction = finite_correction
         self.upper_bound = upper_bound
+        self.finite_correction = finite_correction
+        self.finite_correction = check_run_settings(self, population)
         self.candidates = tuple(candidates)
         self.pilot_hyper_samples = pilot_hyper_samples
         self.pilot_m = pilot_m
         self.cv_folds = cv_folds
         self.cv_holdout_blocks = cv_holdout_blocks
-        self.pot_threshold_quantile = pot_threshold_quantile
+        self.pot_threshold_quantile = (
+            DEFAULT_POT_THRESHOLD_QUANTILE
+            if pot_threshold_quantile is None
+            else pot_threshold_quantile
+        )
         self.pot_batch_size = pot_batch_size
-        # The tuner validates candidates/pilot size and the remaining
-        # statistical knobs at construction, same as the engines do.
         self._tuner = BlockSizeTuner(
             population,
             candidates=self.candidates,
@@ -178,20 +184,15 @@ class AdaptiveMaxPowerEstimator:
             return float(np.median(train_maxima))
 
     def _pot_predict(self, raw: np.ndarray, n: int) -> float:
-        quantile = (
-            self.pot_threshold_quantile
-            if self.pot_threshold_quantile is not None
-            else DEFAULT_POT_THRESHOLD_QUANTILE
-        )
         # Median block maximum: F(x)^n = 1/2, i.e. sf(x) = 1 - 2^(-1/n).
         target_sf = 1.0 - 0.5 ** (1.0 / n)
-        tail_frac = 1.0 - quantile
+        tail_frac = 1.0 - self.pot_threshold_quantile
         empirical = float(np.quantile(raw, 0.5 ** (1.0 / n)))
         if target_sf >= tail_frac:
             # The median sits below the threshold: the GPD says nothing
             # about it; use the empirical quantile.
             return empirical
-        threshold = float(np.quantile(raw, quantile))
+        threshold = float(np.quantile(raw, self.pot_threshold_quantile))
         exceedances = raw[raw > threshold] - threshold
         try:
             gpd = fit_gpd(exceedances)
@@ -284,16 +285,13 @@ class AdaptiveMaxPowerEstimator:
                     if self.pot_batch_size is not None
                     else chosen_n * chosen_m
                 ),
-                threshold_quantile=(
-                    self.pot_threshold_quantile
-                    if self.pot_threshold_quantile is not None
-                    else DEFAULT_POT_THRESHOLD_QUANTILE
-                ),
+                threshold_quantile=self.pot_threshold_quantile,
                 error=self.error,
                 confidence=self.confidence,
                 min_hyper_samples=self.min_hyper_samples,
                 max_hyper_samples=remaining,
                 finite_correction=self.finite_correction,
+                upper_bound=self.upper_bound,
             )
         else:
             engine = MaxPowerEstimator(
@@ -311,13 +309,8 @@ class AdaptiveMaxPowerEstimator:
 
     # ------------------------------------------------------------------
     def run(self, rng: RngLike = None, progress=None) -> EstimationResult:
-        """Pilot, decide, and hand off to the chosen engine.
-
-        Follows the :meth:`MaxPowerEstimator.run` contract: ``progress``
-        fires once per production hyper-sample (never during the pilot,
-        whose cost is bounded), may cancel by raising, and does not
-        participate in the RNG stream.
-        """
+        """Pilot, decide, and hand off to the chosen engine, whose run
+        alone reports to ``progress`` (the pilot's cost is bounded)."""
         gen = as_rng(rng)
         decision, engine, overhead = self.decide(gen)
         _METRICS.counter("adaptive_runs_total", family=decision.family).inc()

@@ -9,9 +9,9 @@ extreme observation instead of one per block, which usually buys
 efficiency — the ablation benchmark quantifies this against the paper's
 estimator at equal unit budgets.
 
-The iteration mirrors the paper's Figure-4 loop: each *round* draws a
-fresh batch, produces one endpoint estimate, and rounds accumulate until
-the Student-t interval of their mean meets the error/confidence target.
+The iteration is the paper's Figure-4 loop (``run_sequential``): each
+*round* draws a fresh batch, produces one endpoint estimate, and rounds
+accumulate until the Student-t interval of their mean meets the target.
 
 The estimator follows the same config pattern as
 :class:`~repro.estimation.mc_estimator.MaxPowerEstimator`: build it
@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError, FitError
-from ..evt.confidence import t_mean_interval
 from ..evt.gpd import fit_gpd
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
 from .finite_population import finite_population_quantile
+from .mc_estimator import check_run_settings, run_sequential
 from .result import EstimationResult, HyperSample
 
 __all__ = ["DEFAULT_POT_THRESHOLD_QUANTILE", "PeaksOverThresholdEstimator"]
@@ -39,6 +39,9 @@ __all__ = ["DEFAULT_POT_THRESHOLD_QUANTILE", "PeaksOverThresholdEstimator"]
 #: Default exceedance threshold (keep the top 10 % of each batch) —
 #: what ``method="auto"`` uses when the config names no POT policy.
 DEFAULT_POT_THRESHOLD_QUANTILE = 0.90
+
+#: ``fallback_reason`` of a round whose fitted tail is not bounded.
+_XI_NOT_NEGATIVE = "GPD tail index xi >= 0: endpoint not identified"
 
 
 class PeaksOverThresholdEstimator:
@@ -61,7 +64,12 @@ class PeaksOverThresholdEstimator:
     finite_correction:
         Report the (1 − 1/|V|) quantile instead of the raw endpoint for
         finite populations (as §3.4 does for the Weibull route).
+    upper_bound:
+        Optional physical ceiling; fitted round estimates are clipped.
     """
+
+    #: :attr:`EstimationResult.method` of this engine's runs.
+    method = "pot"
 
     def __init__(
         self,
@@ -73,19 +81,12 @@ class PeaksOverThresholdEstimator:
         min_hyper_samples: int = 2,
         max_hyper_samples: int = 200,
         finite_correction: Optional[bool] = None,
+        upper_bound: Optional[float] = None,
     ):
         if batch_size < 20:
             raise ConfigError("batch_size must be >= 20")
         if not 0.5 <= threshold_quantile < 1.0:
             raise ConfigError("threshold_quantile must be in [0.5, 1)")
-        if not 0.0 < error < 1.0:
-            raise ConfigError("error must be in (0, 1)")
-        if not 0.0 < confidence < 1.0:
-            raise ConfigError("confidence must be in (0, 1)")
-        if min_hyper_samples < 2:
-            raise ConfigError("min_hyper_samples must be >= 2")
-        if max_hyper_samples < min_hyper_samples:
-            raise ConfigError("max_hyper_samples < min_hyper_samples")
         self.population = population
         self.batch_size = batch_size
         self.threshold_quantile = threshold_quantile
@@ -93,13 +94,9 @@ class PeaksOverThresholdEstimator:
         self.confidence = confidence
         self.min_hyper_samples = min_hyper_samples
         self.max_hyper_samples = max_hyper_samples
-        if finite_correction is None:
-            finite_correction = population.size is not None
-        if finite_correction and population.size is None:
-            raise ConfigError(
-                "finite_correction requires a population with known size"
-            )
+        self.upper_bound = upper_bound
         self.finite_correction = finite_correction
+        self.finite_correction = check_run_settings(self, population)
 
     @classmethod
     def from_config(
@@ -129,11 +126,14 @@ class PeaksOverThresholdEstimator:
             min_hyper_samples=config.min_hyper_samples,
             max_hyper_samples=config.max_hyper_samples,
             finite_correction=config.finite_correction,
+            upper_bound=config.upper_bound,
         )
 
     # ------------------------------------------------------------------
     def round_estimate(self, index: int, rng: RngLike = None) -> HyperSample:
-        """One POT round: batch -> exceedances -> GPD -> endpoint."""
+        """One POT round: batch -> exceedances -> GPD -> endpoint, or
+        the batch maximum with a ``fallback_reason`` when the batch does
+        not identify the endpoint."""
         gen = as_rng(rng)
         batch = self.population.sample_powers(self.batch_size, gen)
         threshold = float(np.quantile(batch, self.threshold_quantile))
@@ -141,13 +141,11 @@ class PeaksOverThresholdEstimator:
         best_seen = float(batch.max())
         try:
             gpd = fit_gpd(exceedances)
-        except FitError:
-            gpd = None
-        if gpd is None or gpd.xi >= 0:
-            # Heavy/unbounded tail verdict in this batch: the endpoint
-            # is not identified; fall back to the batch maximum.
+            fallback_reason = _XI_NOT_NEGATIVE if gpd.xi >= 0 else None
+        except FitError as exc:
+            fallback_reason = str(exc)
+        if fallback_reason is not None:
             estimate = best_seen
-            fit = None
         else:
             endpoint = threshold + gpd.right_endpoint()
             if self.finite_correction and self.population.size:
@@ -168,51 +166,21 @@ class PeaksOverThresholdEstimator:
             else:
                 estimate = endpoint
             estimate = max(estimate, best_seen)
-            fit = None  # GPD fit is not a WeibullFit; keep record slim
+        # The GPD fit is not a WeibullFit: the record keeps fit=None.
         return HyperSample(
             index=index,
             maxima=exceedances + threshold,
-            fit=fit,
+            fit=None,
             estimate=float(estimate),
             units_used=self.batch_size,
+            fallback_reason=fallback_reason,
         )
 
-    # ------------------------------------------------------------------
     def run(self, rng: RngLike = None, progress=None) -> EstimationResult:
-        """Iterate rounds until the t-interval meets the target.
-
-        ``progress`` follows the :meth:`MaxPowerEstimator.run` contract:
-        called as ``progress(hs, interval, cumulative_units)`` after
-        every round, may abort the run by raising, and never touches the
-        RNG stream — a run's result is bit-identical with or without it.
-        """
-        gen = as_rng(rng)
-        result = EstimationResult(
-            estimate=float("nan"),
-            interval=None,
-            converged=False,
-            error_bound=self.error,
-            confidence=self.confidence,
-            population_name=f"{self.population.name} [POT]",
-            population_size=self.population.size,
-            method="pot",
+        """Iterate rounds until the t-interval meets the target (see
+        :func:`~repro.estimation.mc_estimator.run_sequential`)."""
+        return run_sequential(
+            self, self.round_estimate, rng, progress,
+            batch_size=self.batch_size,
+            threshold_quantile=self.threshold_quantile,
         )
-        estimates = []
-        for k in range(1, self.max_hyper_samples + 1):
-            hs = self.round_estimate(k, gen)
-            result.hyper_samples.append(hs)
-            result.units_used += hs.units_used
-            estimates.append(hs.estimate)
-            interval = None
-            if k >= self.min_hyper_samples:
-                interval = t_mean_interval(estimates, self.confidence)
-                result.interval = interval
-                result.estimate = interval.mean
-                result.ci_trajectory.append(interval.rel_half_width)
-            if progress is not None:
-                progress(hs, interval, result.units_used)
-            if interval is not None and interval.rel_half_width <= self.error:
-                result.converged = True
-                return result
-        result.estimate = float(np.mean(estimates))
-        return result

@@ -136,9 +136,9 @@ class EstimationResult:
     estimate:
         ``P̄_MAX`` — the mean of the hyper-sample estimates.
     interval:
-        The Student-t confidence interval at the requested level
-        (``None`` only if the loop stopped before two hyper-samples,
-        which cannot happen with default settings).
+        The Student-t confidence interval at the requested level over
+        all k hyper-samples (always set: every method enforces
+        ``min_hyper_samples >= 2``).
     converged:
         Whether the relative half-width met the error bound before the
         hyper-sample budget ran out.

@@ -71,15 +71,15 @@ def _fmt(value: float) -> str:
 #: Unknown families fall back to a generic line so every exposition is
 #: still spec-complete.
 _HELP: Dict[str, str] = {
-    "estimator_runs_total": "Figure 4 estimation runs started",
+    "estimator_runs_total": "Figure 4 estimation runs started (every method)",
     "estimator_runs_converged_total": "Runs whose CI half-width met the error target",
-    "estimator_hyper_samples_total": "Hyper-samples (maxima of m-unit blocks) drawn",
-    "estimator_fallbacks_total": "Hyper-samples that fell back to the observed block maximum",
+    "estimator_hyper_samples_total": "Hyper-samples (Weibull block maxima or POT batches) drawn",
+    "estimator_fallbacks_total": "Hyper-samples that fell back to the observed maximum",
     "estimator_units_total": "Simulated vector pairs consumed by estimation",
-    "estimator_nonregular_fits_total": "Fits in the non-regular MLE regime (alpha <= 2)",
+    "estimator_nonregular_fits_total": "Weibull fits in the non-regular MLE regime (alpha <= 2)",
     "estimator_run_seconds": "Wall-clock time of full estimation runs",
     "estimator_hyper_sample_seconds": "Wall-clock time per hyper-sample",
-    "estimator_alpha": "Fitted generalized-Weibull shape parameter alpha",
+    "estimator_alpha": "Fitted generalized-Weibull shape parameter alpha (Weibull rounds only)",
     "estimator_k": "Hyper-samples needed per run (k at termination)",
     "mle_fits_total": "Successful profile-MLE Weibull fits",
     "mle_fit_errors_total": "Profile-MLE fits that raised FitError",

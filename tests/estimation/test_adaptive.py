@@ -13,7 +13,7 @@ from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.estimation.pot import PeaksOverThresholdEstimator
 from repro.evt.distributions import GeneralizedWeibull
 from repro.obs.metrics import get_registry
-from repro.vectors.population import FinitePopulation
+from repro.vectors.population import FinitePopulation, StreamingPopulation
 
 AUTO = EstimatorConfig(method="auto", max_hyper_samples=12)
 
@@ -70,6 +70,28 @@ class TestConfigValidation:
             AdaptiveMaxPowerEstimator(light_pool, cv_folds=0)
         with pytest.raises(ConfigError, match="cv_holdout_blocks"):
             AdaptiveMaxPowerEstimator(light_pool, cv_holdout_blocks=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"error": 0.0}, "error must be"),
+            ({"confidence": 1.0}, "confidence must be"),
+            ({"min_hyper_samples": 1}, "min_hyper_samples must be"),
+            ({"max_hyper_samples": 1}, "max_hyper_samples < min"),
+            ({"upper_bound": -1.0}, "upper_bound must be"),
+        ],
+        ids=["error", "confidence", "min", "max", "upper_bound"],
+    )
+    def test_controller_validates_run_settings(self, light_pool, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            AdaptiveMaxPowerEstimator(light_pool, **kwargs)
+
+    def test_controller_rejects_finite_correction_on_stream(self):
+        stream = StreamingPopulation(
+            lambda n, rng: (None, None), lambda a, b: np.zeros(1)
+        )
+        with pytest.raises(ConfigError, match="known size"):
+            AdaptiveMaxPowerEstimator(stream, finite_correction=True)
 
 
 class TestFactory:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.estimation.mc_estimator import MaxPowerEstimator
+from repro.estimation.pot import PeaksOverThresholdEstimator
 from repro.evt.distributions import GeneralizedWeibull
 from repro.vectors.population import FinitePopulation, StreamingPopulation
 
@@ -138,15 +139,17 @@ class TestRun:
         assert result.k == 3
         assert np.isfinite(result.estimate)
 
-    def test_unconverged_estimate_equals_interval_mean(self):
+    @pytest.mark.parametrize(
+        "engine", [MaxPowerEstimator, PeaksOverThresholdEstimator],
+        ids=["fixed", "pot"],
+    )
+    def test_unconverged_estimate_equals_interval_mean(self, engine):
         """Regression: the unconverged fallback overwrote the estimate
         with the plain mean while the interval lagged behind it."""
         rng_pool = np.random.default_rng(1)
         powers = rng_pool.pareto(0.5, size=5000) + 0.1
         pop = FinitePopulation(powers, name="pareto")
-        result = MaxPowerEstimator(
-            pop, error=0.0001, max_hyper_samples=4
-        ).run(rng=5)
+        result = engine(pop, error=0.0001, max_hyper_samples=4).run(rng=5)
         assert not result.converged
         assert result.interval is not None
         assert result.estimate == result.interval.mean

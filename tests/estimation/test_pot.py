@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+import repro.estimation.pot as pot_module
+from repro.api import EstimatorConfig, estimate
+from repro.errors import ConfigError, FitError
 from repro.estimation.pot import PeaksOverThresholdEstimator
 from repro.evt.distributions import GeneralizedWeibull
 from repro.vectors.population import FinitePopulation
@@ -14,6 +16,32 @@ def pool():
     true = GeneralizedWeibull.from_scale(alpha=4.0, scale=0.3, mu=1.0)
     powers = np.clip(true.rvs(20000, rng=3), 0.0, None)
     return FinitePopulation(powers, name="weibull-pool")
+
+
+@pytest.fixture(scope="module")
+def pareto_pool():
+    rng_pool = np.random.default_rng(10)
+    return FinitePopulation(
+        rng_pool.pareto(1.0, size=20000) + 1.0, name="pareto"
+    )
+
+
+def gpd_outcomes(monkeypatch):
+    """Record each GPD fit: its tail index, or ``None`` when it raised."""
+    outcomes = []
+    fit_gpd = pot_module.fit_gpd
+
+    def recording(exceedances):
+        try:
+            gpd = fit_gpd(exceedances)
+        except FitError:
+            outcomes.append(None)
+            raise
+        outcomes.append(gpd.xi)
+        return gpd
+
+    monkeypatch.setattr(pot_module, "fit_gpd", recording)
+    return outcomes
 
 
 class TestConfiguration:
@@ -42,6 +70,35 @@ class TestRounds:
         assert hs.estimate > 0
         # The estimate can never sit below the best value in the batch.
         assert hs.estimate >= hs.maxima.max() - 1e-12
+
+    def test_fallback_rounds_say_why(self, pareto_pool, monkeypatch):
+        outcomes = gpd_outcomes(monkeypatch)
+        est = PeaksOverThresholdEstimator(pareto_pool)
+        rng = np.random.default_rng(11)
+        rounds = [est.round_estimate(k, rng) for k in range(1, 13)]
+        flagged = [hs for hs in rounds if hs.fallback_reason is not None]
+        assert flagged  # the heavy tail leaves the endpoint unidentified
+        for hs, xi in zip(rounds, outcomes):
+            assert (hs.fallback_reason is None) == (xi is not None and xi < 0)
+            if xi is not None and xi >= 0:
+                assert hs.fallback_reason == (
+                    "GPD tail index xi >= 0: endpoint not identified"
+                )
+        for hs in flagged:
+            # The batch maximum, recovered from the stored exceedances.
+            assert hs.estimate == pytest.approx(hs.maxima.max(), rel=1e-12)
+
+    def test_fitted_rounds_carry_no_reason(self, pool, monkeypatch):
+        outcomes = gpd_outcomes(monkeypatch)
+        est = PeaksOverThresholdEstimator(pool)
+        rng = np.random.default_rng(12)
+        rounds = [est.round_estimate(k, rng) for k in range(1, 13)]
+        fitted = [
+            hs for hs, xi in zip(rounds, outcomes)
+            if xi is not None and xi < 0
+        ]
+        assert fitted
+        assert all(hs.fallback_reason is None for hs in fitted)
 
     def test_round_reproducible(self, pool):
         est = PeaksOverThresholdEstimator(pool)
@@ -95,3 +152,33 @@ class TestRun:
         result = est.run(rng=12)
         assert not result.converged
         assert result.k == 3
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EstimatorConfig(),
+            EstimatorConfig(method="pot", pot_threshold_quantile=0.9),
+            EstimatorConfig(method="auto"),
+        ],
+        ids=["fixed", "pot", "auto"],
+    )
+    def test_fitted_rounds_never_exceed_bound(self, pool, config):
+        bound = 0.9 * pool.actual_max_power
+        result = estimate(
+            pool, config.with_overrides(upper_bound=bound), seed=7
+        )
+        if config.method == "auto":
+            assert result.decision.family == "pot"
+        fitted = [
+            hs for hs in result.hyper_samples if hs.fallback_reason is None
+        ]
+        assert fitted
+        assert all(hs.estimate <= bound for hs in fitted)
+        # An observed maximum is reported as is, never clipped.
+        assert all(
+            hs.estimate == pytest.approx(hs.maxima.max(), rel=1e-12)
+            for hs in result.hyper_samples
+            if hs.fallback_reason is not None
+        )

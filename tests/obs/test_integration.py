@@ -14,9 +14,11 @@ Covers the PR's acceptance criteria end to end:
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig, estimate
 from repro.errors import FitError
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.estimation.parallel import hyper_sample_many, run_many
+from repro.estimation.pot import PeaksOverThresholdEstimator
 from repro.evt.distributions import GeneralizedWeibull
 from repro.evt.mle import fit_weibull_mle
 from repro.obs import get_registry, get_span_recorder, load_trace
@@ -159,6 +161,92 @@ class TestTraceSchema:
         assert attrs["estimate"] == hs.estimate
         assert attrs["rel_half_width"] is None
         assert attrs["cumulative_units"] is None
+
+
+class TestEveryMethodTraced:
+    """POT runs, and auto runs handed to POT, are traced and counted
+    like fixed runs."""
+
+    @pytest.fixture(scope="class")
+    def pot_pool(self):
+        # The bounded pool on which auto picks POT under seed 7.
+        dist = GeneralizedWeibull.from_scale(alpha=4.0, scale=0.3, mu=1.0)
+        powers = np.clip(dist.rvs(20000, rng=3), 0.0, None)
+        return FinitePopulation(powers, name="weibull-pool")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EstimatorConfig(method="pot", pot_threshold_quantile=0.9),
+            EstimatorConfig(method="auto"),
+        ],
+        ids=["pot", "auto"],
+    )
+    def test_run_span_rounds_and_metrics(self, pot_pool, config):
+        registry = get_registry()
+        registry.enable()
+        spans = get_span_recorder()
+        spans.enable()
+        result = estimate(pot_pool, config, seed=7)
+        records = spans.snapshot()
+        counters = {
+            c["name"]: c["value"] for c in registry.snapshot()["counters"]
+        }
+
+        (run,) = _named(records, "estimator.run")
+        attrs = run["attributes"]
+        assert attrs["k"] == result.k
+        assert attrs["converged"] == result.converged
+        assert attrs["estimate"] == result.estimate
+        assert attrs["threshold_quantile"] == 0.9
+        assert attrs["batch_size"] == result.hyper_samples[0].units_used
+        assert "n" not in attrs and "m" not in attrs
+        pilot_units = result.decision.pilot_units if result.decision else 0
+        if config.method == "auto":
+            assert result.decision.family == "pot"
+        assert attrs["units_used"] == result.units_used - pilot_units
+
+        hypers = _named(records, "estimator.hyper_sample")
+        rounds = [h for h in hypers if h["parent_id"] == run["span_id"]]
+        assert [h["attributes"]["k"] for h in rounds] == list(
+            range(1, result.k + 1)
+        )
+        assert sum(h["attributes"]["units_used"] for h in rounds) == (
+            attrs["units_used"]
+        )
+        # auto's pilot draws standalone hyper-samples under its own span;
+        # they count like the run's rounds.
+        others = [h for h in hypers if h["parent_id"] != run["span_id"]]
+        if config.method == "auto":
+            (pilot,) = _named(records, "adaptive.pilot")
+            assert others
+            assert all(h["parent_id"] == pilot["span_id"] for h in others)
+        else:
+            assert not others
+        assert counters["estimator_runs_total"] == 1
+        assert counters["estimator_hyper_samples_total"] == (
+            result.k + len(others)
+        )
+        assert counters["estimator_units_total"] == attrs["units_used"] + sum(
+            h["attributes"]["units_used"] for h in others
+        )
+
+    def test_flat_pot_batch_traces_without_maxima(self):
+        # No value of a flat batch exceeds its threshold: the round has
+        # no exceedances and falls back to the batch maximum.
+        pop = FinitePopulation(np.full(4000, 1.5), name="flat")
+        spans = get_span_recorder()
+        spans.enable()
+        result = PeaksOverThresholdEstimator(pop).run(rng=1)
+        hypers = [
+            h["attributes"]
+            for h in _named(spans.snapshot(), "estimator.hyper_sample")
+        ]
+        assert len(hypers) == result.k
+        for h in hypers:
+            assert h["fallback_reason"]
+            assert h["maxima_min"] is None and h["maxima_max"] is None
+            assert h["estimate"] == 1.5
 
 
 class TestCrossProcessMerge:

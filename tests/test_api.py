@@ -16,6 +16,16 @@ from repro.errors import ConfigError
 from repro.estimation.mc_estimator import MaxPowerEstimator
 from repro.estimation.parallel import run_many as raw_run_many
 
+#: One config per method, for the contract every method's run shares.
+PROGRESS_CONFIGS = [
+    EstimatorConfig(max_hyper_samples=10),
+    EstimatorConfig(
+        method="pot", pot_threshold_quantile=0.9, max_hyper_samples=10
+    ),
+    EstimatorConfig(method="auto", max_hyper_samples=30),
+]
+METHOD_IDS = ["fixed", "pot", "auto"]
+
 
 class TestEstimatorConfig:
     def test_defaults_match_estimator(self, small_population):
@@ -124,10 +134,10 @@ class TestEstimateFacade:
         )
         assert via_facade.to_dict() == direct.to_dict()
 
+    @pytest.mark.parametrize("config", PROGRESS_CONFIGS, ids=METHOD_IDS)
     def test_progress_fires_per_hyper_sample_and_changes_nothing(
-        self, small_population
+        self, small_population, config
     ):
-        config = EstimatorConfig(max_hyper_samples=10)
         seen = []
 
         def progress(hs, interval, cumulative_units):
@@ -137,10 +147,14 @@ class TestEstimateFacade:
         plain = estimate(small_population, config, seed=7)
         assert watched.to_dict() == plain.to_dict()
         assert len(seen) == watched.k
+        assert [index for index, _, _ in seen] == list(range(1, watched.k + 1))
         assert seen[0][1] is None  # before min_hyper_samples
-        assert seen[-1][2] == watched.units_used
+        assert all(interval is not None for _, interval, _ in seen[1:])
+        pilot_units = watched.decision.pilot_units if watched.decision else 0
+        assert seen[-1][2] == watched.units_used - pilot_units
 
-    def test_progress_exception_aborts(self, small_population):
+    @pytest.mark.parametrize("config", PROGRESS_CONFIGS, ids=METHOD_IDS)
+    def test_progress_exception_aborts(self, small_population, config):
         class Abort(RuntimeError):
             pass
 
@@ -148,7 +162,7 @@ class TestEstimateFacade:
             raise Abort()
 
         with pytest.raises(Abort):
-            estimate(small_population, EstimatorConfig(), seed=7, progress=progress)
+            estimate(small_population, config, seed=7, progress=progress)
 
 
 class TestConfigDrivers:

@@ -377,6 +377,31 @@ class TestCommands:
         assert "convergence diagnostics" in out
         assert "runs: 1" in out
 
+    def test_report_metrics_on_pot_trace(self, tmp_path, capsys):
+        trace = tmp_path / "pot.jsonl"
+        assert main(
+            [
+                "estimate",
+                "c432",
+                "--population",
+                "1500",
+                "--seed",
+                "3",
+                "--method",
+                "pot",
+                "--pot-threshold",
+                "0.9",
+                "--trace",
+                str(trace),
+            ]
+        ) == 0
+        capsys.readouterr()
+
+        assert main(["report", "--metrics", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "runs: 1" in out
+        assert "rel CI half-width by k" in out
+
     def test_report_without_circuit_or_metrics_fails(self, capsys):
         assert main(["report"]) == 1
         assert "error:" in capsys.readouterr().err
