@@ -90,8 +90,9 @@ class HyperSample:
     maxima:
         The m block-maxima values the fit consumed.
     fit:
-        The generalized-Weibull MLE fit, or ``None`` when the sample was
-        degenerate (all maxima equal) and the plain maximum was used.
+        The generalized-Weibull MLE fit, or ``None`` when the fit fell
+        back to the plain maximum or the round fitted no Weibull (a POT
+        round).
     estimate:
         The hyper-sample's maximum-power estimate ``P̂_i,MAX`` — μ̂ for
         infinite populations, the (1 − 1/|V|) Weibull quantile for
@@ -112,7 +113,8 @@ class HyperSample:
 
     @property
     def degenerate(self) -> bool:
-        return self.fit is None
+        """Whether the round fell back to the plain maximum."""
+        return self.fallback_reason is not None
 
     def to_dict(self) -> dict:
         """Versioned JSON-able form (see :mod:`repro.schemas`)."""

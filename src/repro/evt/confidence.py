@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..errors import EstimationError
 
@@ -43,7 +43,7 @@ def _check_level(level: float) -> None:
 def normal_two_sided_quantile(level: float) -> float:
     """The paper's ``u_l``: ``P(−u <= Z <= u) = level`` for standard Z."""
     _check_level(level)
-    return float(stats.norm.ppf(0.5 * (1.0 + level)))
+    return float(special.ndtri(0.5 * (1.0 + level)))
 
 
 def t_two_sided_quantile(level: float, dof: int) -> float:
@@ -51,7 +51,7 @@ def t_two_sided_quantile(level: float, dof: int) -> float:
     _check_level(level)
     if dof < 1:
         raise EstimationError("degrees of freedom must be >= 1")
-    return float(stats.t.ppf(0.5 * (1.0 + level), dof))
+    return float(special.stdtrit(dof, 0.5 * (1.0 + level)))
 
 
 @dataclass(frozen=True)

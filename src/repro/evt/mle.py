@@ -14,6 +14,12 @@ the log-likelihood over ``μ`` on ``(max(x), max(x) + span·range]``
 the small ``m`` (≈10) the paper uses — exactly where naive 3-D
 optimization and curve fitting get unstable (§3.1).
 
+The coarse grid is valued in one vectorised pass (:func:`_grid_profile`)
+whose values only choose candidates: every offset near the best value,
+and every offset the pass cannot vouch for, is re-evaluated exactly on
+the scalar path, so the fit is the one a scalar scan of the whole grid
+gives, bit for bit.
+
 Also provided: an observed-information covariance estimate of
 ``(α̂, β̂, μ̂)`` (the paper's ``VAR`` matrix, Eqn. 3.4) and a scipy
 cross-check fit.
@@ -110,29 +116,51 @@ def _validate_sample(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _weibull_shape_equation(a: float, y: np.ndarray, mean_ln: float) -> float:
+#: Limits of the scalar shape solve: :func:`_solve_shape` returns its
+#: lower limit when the root lies below it, and fails when ``g`` is
+#: still negative at its last bracket end.
+_SHAPE_LO = 1e-6
+_SHAPE_HI = 8.0 * 4.0**11
+
+#: Grid cells (offsets × sample values) one vectorised pass holds at once.
+_GRID_BLOCK = 1 << 16
+
+#: Bound on how far a vectorised grid value may lie from the scalar
+#: one, relative to the magnitude of the terms it sums: both paths add
+#: the same terms in another order, from roots of the same equation
+#: (measured: within 2e-15 of that magnitude).
+_GRID_TOL = 1e-9
+
+# ndarray.sum()/mean() minus their Python-level wrappers: same doubles.
+_sum = np.add.reduce
+
+
+def _weibull_shape_equation(
+    a: float, y: np.ndarray, ln_y: np.ndarray, mean_ln: float
+) -> float:
     """g(a) = sum(y^a ln y)/sum(y^a) − 1/a − mean(ln y); root is the MLE."""
     ya = y ** a
-    return float((ya * np.log(y)).sum() / ya.sum() - 1.0 / a - mean_ln)
+    return float(_sum(ya * ln_y) / _sum(ya) - 1.0 / a - mean_ln)
 
 
 def _solve_shape(y: np.ndarray) -> float:
     """Solve the 1-D Weibull shape equation for y in (0, 1]."""
-    mean_ln = float(np.log(y).mean())
-    lo, hi = 1e-6, 8.0
-    g_hi = _weibull_shape_equation(hi, y, mean_ln)
-    while g_hi < 0 and hi < 1e7:
+    ln_y = np.log(y)
+    mean_ln = float(_sum(ln_y) / y.size)
+    lo, hi = _SHAPE_LO, 8.0
+    g_hi = _weibull_shape_equation(hi, y, ln_y, mean_ln)
+    while g_hi < 0 and hi < _SHAPE_HI:
         hi *= 4.0
-        g_hi = _weibull_shape_equation(hi, y, mean_ln)
+        g_hi = _weibull_shape_equation(hi, y, ln_y, mean_ln)
     if g_hi < 0:
         raise FitError("Weibull shape equation has no root in range", cause="no-root")
-    g_lo = _weibull_shape_equation(lo, y, mean_ln)
+    g_lo = _weibull_shape_equation(lo, y, ln_y, mean_ln)
     if g_lo > 0:
         # Extremely heavy lower tail; the root is below lo.
         return lo
     return float(
         optimize.brentq(
-            _weibull_shape_equation, lo, hi, args=(y, mean_ln), xtol=1e-12
+            _weibull_shape_equation, lo, hi, args=(y, ln_y, mean_ln), xtol=1e-12
         )
     )
 
@@ -150,16 +178,78 @@ def _profile_loglik(
     yn = y / c  # scale-invariant shape equation; renormalize after
     a = _solve_shape(yn)
     m = x.size
-    lam_n = float(np.mean(yn ** a)) ** (1.0 / a)
+    lam_n = float(_sum(yn ** a) / m) ** (1.0 / a)
     scale = lam_n * c
     # ll = m ln a − m a ln λ + (a−1) Σ ln y − Σ (y/λ)^a, last term = m.
     ll = (
         m * math.log(a)
         - m * a * math.log(scale)
-        + (a - 1.0) * float(np.log(y).sum())
+        + (a - 1.0) * float(_sum(np.log(y)))
         - m
     )
     return ll, a, scale
+
+
+def _grid_profile(mus: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Approximate profile log-likelihood at every ``mu`` in one pass.
+
+    Solves the shape equations of all rows of ``y = mus[:, None] − x``
+    at once by Newton's method on ``ln a`` (``g`` is increasing in
+    ``a``), safeguarded by a per-row bracket that falls back to
+    bisection.  Returns ``(ll, err)``: each value is within ``err`` of
+    what :func:`_profile_loglik` computes at that ``mu``, so the values
+    only choose which offsets the scalar path re-evaluates.  ``err`` is
+    infinite where the value says nothing about the scalar one:
+    non-finite, unconverged, or a root near the scalar solver's upper
+    limit (past which it fails).
+    """
+    m = x.size
+    with np.errstate(all="ignore"):
+        y = mus[:, None] - x
+        ln_y = np.log(y)
+        ln_c = ln_y.max(axis=1)
+        z = ln_y - ln_c[:, None]  # ln(y / max y) <= 0, one zero per row
+        mean_z = z.mean(axis=1)
+        # Start from the log-moment estimate: sd(ln y) = π / (a √6).
+        a = np.clip(math.pi / (math.sqrt(6.0) * z.std(axis=1)), _SHAPE_LO, 1e8)
+        lo = np.full_like(a, _SHAPE_LO)
+        hi = np.full_like(a, np.inf)
+        for _ in range(60):
+            w = np.exp(a[:, None] * z)
+            s0 = w.sum(axis=1)
+            wz = w * z
+            r = wz.sum(axis=1) / s0
+            g = r - 1.0 / a - mean_z
+            dg = (wz * z).sum(axis=1) / s0 - r * r + 1.0 / (a * a)
+            newton = -g / (a * dg)  # Newton step in ln a
+            converged = np.abs(newton) <= 1e-10
+            # Rows past the scalar solver's limit are suspect anyway.
+            settled = converged | ~np.isfinite(newton) | (lo > 0.5 * _SHAPE_HI)
+            if settled.all():
+                break
+            lo = np.where(g < 0.0, a, lo)
+            hi = np.where(g > 0.0, a, hi)
+            step = a * np.exp(newton)
+            step = np.where(
+                (step >= lo) & (step <= hi),
+                step,
+                np.where(np.isfinite(hi), np.sqrt(lo * hi), 4.0 * a),
+            )
+            a = np.where(settled, a, step)
+        # ll = m ln a − m a ln λ + (a−1) Σ ln y − m with the profiled
+        # scale λ: m a ln λ = m ln mean((y/c)^a) + m a ln c.
+        terms = (
+            m * np.log(a),
+            -m * np.log(s0 / m),
+            -m * a * ln_c,
+            (a - 1.0) * ln_y.sum(axis=1),
+        )
+        ll = sum(terms) - m
+        err = _GRID_TOL * (m + sum(np.abs(t) for t in terms))
+    # No root comes near the scalar solver's floor: g < 0 below
+    # 1/range(ln y), and ln y of doubles spans less than 1,500.
+    err[~converged | ~np.isfinite(ll) | (a > 0.5 * _SHAPE_HI)] = np.inf
+    return ll, err
 
 
 def _profile_dll(mu: float, x: np.ndarray) -> Tuple[float, float]:
@@ -176,8 +266,8 @@ def _profile_dll(mu: float, x: np.ndarray) -> Tuple[float, float]:
     """
     ll, a, scale = _profile_loglik(mu, x)
     y = mu - x
-    dll = (a - 1.0) * float((1.0 / y).sum()) - (a / scale) * float(
-        ((y / scale) ** (a - 1.0)).sum()
+    dll = (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
+        _sum((y / scale) ** (a - 1.0))
     )
     return dll, ll
 
@@ -252,17 +342,39 @@ def _fit_weibull_mle_impl(
     offsets = np.geomspace(
         min_offset_frac * spread, mu_span * spread, grid_points
     )
-    best: Optional[Tuple[float, float, float, float]] = None
-    lls = np.empty(offsets.size)
-    for i, off in enumerate(offsets):
-        try:
-            ll, a, scale = _profile_loglik(top + off, x)
-        except (FitError, FloatingPointError, OverflowError):
-            ll, a, scale = -np.inf, math.nan, math.nan
-        lls[i] = ll
-        if best is None or ll > best[0]:
-            best = (ll, top + off, a, scale)
-    if best is None or not math.isfinite(best[0]):
+    # One vectorised pass values every offset; the scalar path then
+    # re-evaluates every offset the pass cannot rule out as the best
+    # (suspect rows, and all within their error bound of the best
+    # value), so ``best``, ``lls`` and hence the fit equal a scalar
+    # scan's.
+    rows = max(1, _GRID_BLOCK // x.size)
+    passes = [
+        _grid_profile(top + offsets[i : i + rows], x)
+        for i in range(0, offsets.size, rows)
+    ]
+    lls = np.concatenate([p[0] for p in passes])
+    err = np.concatenate([p[1] for p in passes])
+    exact = {}
+    todo = np.flatnonzero(np.isinf(err))
+    while True:
+        for i in todo:
+            off = offsets[i]
+            try:
+                ll, a, scale = _profile_loglik(top + off, x)
+            except (FitError, FloatingPointError, OverflowError):
+                ll, a, scale = -np.inf, math.nan, math.nan
+            lls[i], err[i] = ll, 0.0
+            exact[i] = (ll, top + off, a, scale)
+        # Suspect rows are exact now, and a scalar value is finite or
+        # -inf, so lls holds no NaN.  A row left approximate falls short
+        # of the best value by more than its error bound.
+        peak = lls.max()
+        todo = [i for i in np.flatnonzero(lls + err >= peak) if i not in exact]
+        if not todo:
+            break
+    best_idx = int(np.argmax(lls))
+    best = exact[best_idx]
+    if not math.isfinite(best[0]):
         raise FitError(
             "profile likelihood evaluation failed everywhere",
             cause="profile-failed",
@@ -275,7 +387,6 @@ def _fit_weibull_mle_impl(
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
     # order there).  The bounded minimize remains as a fallback for
     # boundary optima and clamped inner solves.
-    best_idx = int(np.argmax(lls))
     lo_off = offsets[max(best_idx - 1, 0)]
     hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
     refined: Optional[float] = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from ..errors import EstimationError
 
@@ -103,6 +103,8 @@ def quantile_confidence_interval(
     n = x.size
     if n < 2:
         raise EstimationError("need at least 2 values")
+    from scipy import stats  # the only scipy.stats use; keep it off import
+
     point = empirical_quantile(x, q)
     tail = (1.0 - level) / 2.0
     lo_rank = int(stats.binom.ppf(tail, n, q))

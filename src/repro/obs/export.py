@@ -327,26 +327,37 @@ def _metrics_section(snapshot: dict) -> List[str]:
     fallbacks = _counter_value(snapshot, "estimator_fallbacks_total")
     units = _counter_value(snapshot, "estimator_units_total")
     nonregular = _counter_value(snapshot, "estimator_nonregular_fits_total")
-    if runs:
-        lines.append(
-            f"runs: {runs:.0f} ({_pct(converged, runs)} converged, "
-            f"avg k = {hypers / runs:.1f}, avg units = {units / runs:.0f})"
-        )
-    if hypers:
-        lines.append(
-            f"hyper-samples: {hypers:.0f} "
-            f"(fallback-to-max rate {_pct(fallbacks, hypers)}, "
-            f"non-regular fits (alpha<=2) {_pct(nonregular, hypers)})"
-        )
+    # One k observation per run; hyper-samples drawn outside a run (the
+    # adaptive pilot's) count as hyper-samples but not toward any k.
+    k_hist = _histogram(snapshot, "estimator_k")
+    in_runs = k_hist["sum"] if k_hist and k_hist["count"] else None
     alpha = _histogram(snapshot, "estimator_alpha")
-    if alpha and alpha["count"]:
-        mean = alpha["sum"] / alpha["count"]
+    fits = alpha["count"] if alpha else 0
+    if runs:
+        line = f"runs: {runs:.0f} ({_pct(converged, runs)} converged"
+        if in_runs is not None:
+            line += f", avg k = {in_runs / k_hist['count']:.1f}"
+        lines.append(line + ")")
+    if hypers:
+        head = f"hyper-samples: {hypers:.0f}"
+        if in_runs is not None and hypers > in_runs:
+            head += f", {hypers - in_runs:.0f} outside runs"
+        rates = f"fallback-to-max rate {_pct(fallbacks, hypers)}"
+        if fits:
+            rates += (
+                f", non-regular fits (alpha<=2) {_pct(nonregular, fits)} "
+                f"of {fits:.0f} Weibull fits"
+            )
+        lines.append(f"{head} ({rates})")
+        lines.append(f"units drawn by all hyper-samples: {units:.0f}")
+    if fits:
+        mean = alpha["sum"] / fits
         le2 = sum(
             c for b, c in zip(alpha["bounds"], alpha["counts"]) if b <= 2.0
         )
         lines.append(
-            f"alpha-hat: mean {mean:.2f} over {alpha['count']} fits, "
-            f"{_pct(le2, alpha['count'])} at alpha <= 2 "
+            f"alpha-hat: mean {mean:.2f} over {fits} fits, "
+            f"{_pct(le2, fits)} at alpha <= 2 "
             "(Smith-regularity boundary)"
         )
     fit_errors = _counter_by_label(snapshot, "mle_fit_errors_total", "cause")

@@ -100,6 +100,16 @@ class TestRounds:
         assert fitted
         assert all(hs.fallback_reason is None for hs in fitted)
 
+    def test_only_fallback_rounds_are_degenerate(self, pool):
+        result = PeaksOverThresholdEstimator(pool).run(rng=7)
+        fitted = [hs for hs in result.hyper_samples if hs.fallback_reason is None]
+        assert fitted
+        assert not any(hs.degenerate for hs in fitted)
+        assert all(
+            hs.degenerate == (hs.fallback_reason is not None)
+            for hs in result.hyper_samples
+        )
+
     def test_round_reproducible(self, pool):
         est = PeaksOverThresholdEstimator(pool)
         a = est.round_estimate(1, rng=5)

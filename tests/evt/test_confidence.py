@@ -42,6 +42,27 @@ class TestQuantiles:
             t_two_sided_quantile(0.9, 0)
 
 
+class TestQuantilesMatchScipyStats:
+    """``scipy.special`` serves the same doubles ``scipy.stats`` did."""
+
+    LEVELS = [0.005 * i for i in range(1, 200)] + [0.001, 0.683, 0.9973, 0.999]
+
+    def test_normal_quantile(self):
+        from scipy import stats
+
+        for level in self.LEVELS:
+            expected = float(stats.norm.ppf(0.5 * (1.0 + level)))
+            assert normal_two_sided_quantile(level) == expected, level
+
+    def test_t_quantile(self):
+        from scipy import stats
+
+        for level in self.LEVELS:
+            expected = stats.t.ppf(0.5 * (1.0 + level), np.arange(1, 200))
+            got = [t_two_sided_quantile(level, dof) for dof in range(1, 200)]
+            assert got == expected.tolist(), level
+
+
 class TestTInterval:
     def test_hand_computed_interval(self):
         values = [10.0, 12.0, 11.0, 13.0]

@@ -402,6 +402,41 @@ class TestCommands:
         assert "runs: 1" in out
         assert "rel CI half-width by k" in out
 
+    def test_report_metrics_on_auto_and_pot_runs(self, tmp_path, capsys):
+        import re
+
+        def estimate_and_report(name, *method_args):
+            metrics = tmp_path / f"{name}.json"
+            argv = ["estimate", "c432", "--population", "2000", "--seed", "3"]
+            assert main([*argv, *method_args, "--metrics", str(metrics)]) == 0
+            k = int(re.search(r"k=(\d+)", capsys.readouterr().out).group(1))
+            assert main(["report", "--metrics", str(metrics)]) == 0
+            return k, capsys.readouterr().out
+
+        # auto: the pilot's standalone hyper-samples are not rounds.
+        k, report = estimate_and_report("auto", "--method", "auto")
+        assert f"avg k = {k:.1f})" in report
+        hypers, outside = re.search(
+            r"hyper-samples: (\d+), (\d+) outside runs", report
+        ).groups()
+        assert int(hypers) - int(outside) == k
+        assert "units drawn by all hyper-samples: " in report
+        # The non-regular rate is over the Weibull fits, as alpha-hat's is.
+        rate, fits = re.search(
+            r"non-regular fits \(alpha<=2\) ([\d.]+%) of (\d+) Weibull fits",
+            report,
+        ).groups()
+        assert f"over {fits} fits, {rate} at alpha <= 2" in report
+
+        # pot: no Weibull fit, so no non-regular rate.
+        k, report = estimate_and_report(
+            "pot", "--method", "pot", "--pot-threshold", "0.9"
+        )
+        assert f"avg k = {k:.1f})" in report
+        assert f"hyper-samples: {k} (" in report
+        assert "non-regular" not in report
+        assert "alpha-hat" not in report
+
     def test_report_without_circuit_or_metrics_fails(self, capsys):
         assert main(["report"]) == 1
         assert "error:" in capsys.readouterr().err
