@@ -8,11 +8,14 @@ Layering:
   background (§2.1).
 * :mod:`~repro.evt.block_maxima` — sample formation (Figure 3).
 * :mod:`~repro.evt.mle` — profile-likelihood MLE (§2.2/§3.2).
+* :mod:`~repro.evt.brent` — the MLE's root finder and bounded
+  minimiser, ports of scipy's that return its doubles.
 * :mod:`~repro.evt.fitting` — the rejected curve-fit/moment
   alternatives plus normal fits (Figures 1–2, ablations).
 * :mod:`~repro.evt.domain` — domain-of-attraction diagnostics.
 * :mod:`~repro.evt.confidence` — u_l/t intervals and SRS sizing
-  (Theorems 4, 6).
+  (Theorems 4, 6); :mod:`~repro.evt.t_table` holds the t quantiles
+  at l = 0.90.
 """
 
 from .block_maxima import (

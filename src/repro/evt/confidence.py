@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from ..errors import EstimationError
+from . import t_table
 
 __all__ = [
     "normal_two_sided_quantile",
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 
+_TABLE_DOFS = range(1, len(t_table.T90) + 1)
+
+
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise EstimationError(f"confidence level must be in (0,1), got {level}")
@@ -43,14 +46,25 @@ def _check_level(level: float) -> None:
 def normal_two_sided_quantile(level: float) -> float:
     """The paper's ``u_l``: ``P(−u <= Z <= u) = level`` for standard Z."""
     _check_level(level)
+    from scipy import special
+
     return float(special.ndtri(0.5 * (1.0 + level)))
 
 
 def t_two_sided_quantile(level: float, dof: int) -> float:
-    """The paper's ``t_{l,k−1}`` two-sided Student-t quantile."""
+    """The paper's ``t_{l,k−1}`` two-sided Student-t quantile.
+
+    At ``level`` 0.90 and dof 1–199 the value comes from the committed
+    table in :mod:`~repro.evt.t_table` (``scipy.special.stdtrit``'s
+    doubles); any other level or dof asks ``stdtrit`` itself.
+    """
     _check_level(level)
     if dof < 1:
         raise EstimationError("degrees of freedom must be >= 1")
+    if level == t_table.LEVEL and dof in _TABLE_DOFS:
+        return t_table.T90[int(dof) - 1]
+    from scipy import special
+
     return float(special.stdtrit(dof, 0.5 * (1.0 + level)))
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import FitError
+from .brent import brentq
 from .distributions import GeneralizedWeibull
 from .mle import WeibullFit, _validate_sample
 from .order_stats import empirical_cdf
@@ -52,6 +52,8 @@ def fit_weibull_lsq(x: np.ndarray, mu_span: float = 10.0) -> WeibullFit:
     FitError
         If the optimizer fails to converge.
     """
+    from scipy import optimize
+
     x = _validate_sample(x)
     xs, probs = empirical_cdf(x)
     top = float(xs[-1])
@@ -124,7 +126,7 @@ def fit_weibull_moments(x: np.ndarray) -> WeibullFit:
         lo = hi
         hi *= 2.0
     try:
-        alpha = float(optimize.brentq(cv_equation, lo, hi, xtol=1e-10))
+        alpha = brentq(cv_equation, lo, hi, xtol=1e-10)
     except ValueError as exc:
         raise FitError(f"moment shape equation unsolvable: {exc}") from None
     scale = mean_y / math.gamma(1.0 + 1.0 / alpha)
@@ -170,7 +172,7 @@ def fit_normal(x: np.ndarray) -> NormalFit:
 
 def fit_normal_lsq(x: np.ndarray) -> NormalFit:
     """Least-squares CDF normal fit (the paper's Figure 2 methodology)."""
-    from scipy import stats
+    from scipy import optimize, stats
 
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import EstimationError, FitError
 from .distributions import _as_array, _scalar_aware
@@ -167,6 +166,8 @@ def fit_gpd_mle(
     objective (−inf outside).  Falls back to the PWM fit if the
     optimizer fails to improve on it.
     """
+    from scipy import optimize
+
     y = _validate_exceedances(y, 5)
     if start is None:
         try:

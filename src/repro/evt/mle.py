@@ -20,6 +20,11 @@ and every offset the pass cannot vouch for, is re-evaluated exactly on
 the scalar path, so the fit is the one a scalar scan of the whole grid
 gives, bit for bit.
 
+The shape equation, the derivative root and the bounded fallback are
+solved by :mod:`~repro.evt.brent`, ports of scipy's ``brentq`` and
+bounded Brent minimiser that return scipy's doubles, so a fit imports
+no scipy.
+
 Also provided: an observed-information covariance estimate of
 ``(α̂, β̂, μ̂)`` (the paper's ``VAR`` matrix, Eqn. 3.4) and a scipy
 cross-check fit.
@@ -32,11 +37,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import EstimationError, FitError
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
+from .brent import brentq, minimize_scalar_bounded
 from .distributions import GeneralizedWeibull
 
 __all__ = ["WeibullFit", "fit_weibull_mle", "fit_weibull_mle_scipy", "fisher_covariance"]
@@ -158,10 +163,14 @@ def _solve_shape(y: np.ndarray) -> float:
     if g_lo > 0:
         # Extremely heavy lower tail; the root is below lo.
         return lo
-    return float(
-        optimize.brentq(
-            _weibull_shape_equation, lo, hi, args=(y, ln_y, mean_ln), xtol=1e-12
-        )
+    return brentq(
+        _weibull_shape_equation,
+        lo,
+        hi,
+        args=(y, ln_y, mean_ln),
+        xtol=1e-12,
+        fa=g_lo,
+        fb=g_hi,
     )
 
 
@@ -171,9 +180,15 @@ def _profile_loglik(
     """Maximize over (alpha, scale) at fixed mu.
 
     Returns ``(loglik, alpha, scale)`` where scale is the Weibull scale
-    of ``y = mu − x`` (so ``beta = scale**(-alpha)``).
+    of ``y = mu − x`` (so ``beta = scale**(-alpha)``).  Raises
+    :class:`FitError` (cause ``zero-offset``) when ``mu`` rounds to
+    ``max(x)``, which leaves a zero in ``y``.
     """
     y = mu - x
+    if not y.min() > 0.0:
+        raise FitError(
+            f"mu = {float(mu)!r} rounds to the sample maximum", cause="zero-offset"
+        )
     c = float(y.max())
     yn = y / c  # scale-invariant shape equation; renormalize after
     a = _solve_shape(yn)
@@ -252,7 +267,9 @@ def _grid_profile(mus: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return ll, err
 
 
-def _profile_dll(mu: float, x: np.ndarray) -> Tuple[float, float]:
+def _profile_dll(
+    mu: float, x: np.ndarray
+) -> Tuple[float, Tuple[float, float, float]]:
     """Derivative of the profile log-likelihood with respect to mu.
 
     By the envelope theorem the total derivative of the profiled
@@ -260,16 +277,19 @@ def _profile_dll(mu: float, x: np.ndarray) -> Tuple[float, float]:
     the inner optimum (``∂ll/∂α = ∂ll/∂λ = 0`` there):
     ``dll/dμ = (α−1) Σ 1/y_i − (α/λ) Σ (y_i/λ)^(α−1)``, ``y = μ − x``.
 
-    Returns ``(dll, ll)``.  Root-finding on this derivative localizes
-    the profile optimum to ~machine precision, where a scalar
-    *minimizer* on the likelihood itself can only reach ~sqrt(eps).
+    Returns ``(dll, profile)``, where ``profile`` is the
+    ``(loglik, alpha, scale)`` of :func:`_profile_loglik` at ``mu``.
+    Root-finding on this derivative localizes the profile optimum to
+    ~machine precision, where a scalar *minimizer* on the likelihood
+    itself can only reach ~sqrt(eps).
     """
-    ll, a, scale = _profile_loglik(mu, x)
+    profile = _profile_loglik(mu, x)
+    _, a, scale = profile
     y = mu - x
     dll = (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
         _sum((y / scale) ** (a - 1.0))
     )
-    return dll, ll
+    return dll, profile
 
 
 def fit_weibull_mle(
@@ -391,37 +411,38 @@ def _fit_weibull_mle_impl(
     hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
     refined: Optional[float] = None
     refine_path = "none"
+    # (ll, a, scale) at every offset the refinement evaluates; both
+    # solvers return one of those offsets.
+    profiles = {}
+
+    def dll_at(off: float) -> float:
+        dll, profiles[off] = _profile_dll(top + off, x)
+        return dll
+
+    def neg_ll_at(off: float) -> float:
+        profile = profiles[off] = _profile_loglik(top + off, x)
+        return -profile[0]
+
     if hi_off > lo_off:
         try:
-            d_lo = _profile_dll(top + lo_off, x)[0]
-            d_hi = _profile_dll(top + hi_off, x)[0]
+            d_lo = dll_at(lo_off)
+            d_hi = dll_at(hi_off)
         except (FitError, FloatingPointError, OverflowError):
             d_lo = d_hi = math.nan
         if math.isfinite(d_lo) and math.isfinite(d_hi) and d_lo > 0.0 > d_hi:
             refine_path = "root"
-            refined = float(
-                optimize.brentq(
-                    lambda off: _profile_dll(top + off, x)[0],
-                    lo_off,
-                    hi_off,
-                    xtol=1e-13 * spread,
-                )
+            refined = brentq(
+                dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
             )
         else:
             refine_path = "minimize"
-            result = optimize.minimize_scalar(
-                lambda off: -_profile_loglik(top + off, x)[0],
-                bounds=(lo_off, hi_off),
-                method="bounded",
-                options={"xatol": 1e-10 * spread},
+            off, _, success = minimize_scalar_bounded(
+                neg_ll_at, (lo_off, hi_off), xatol=1e-10 * spread
             )
-            if result.success:
-                refined = float(result.x)
+            if success:
+                refined = float(off)
     if refined is not None:
-        try:
-            ll, a, scale = _profile_loglik(top + refined, x)
-        except (FitError, FloatingPointError, OverflowError):
-            ll = -math.inf
+        ll, a, scale = profiles[refined]
         # Tolerance keeps the accept decision stable under ulp-level
         # input perturbations (e.g. the same sample at another scale).
         if ll >= best[0] - 1e-9 * abs(best[0]):

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import special
 
 from ..errors import EstimationError
 
@@ -71,6 +70,8 @@ def order_statistic_cdf(p: float, r: int, n: int) -> float:
         raise EstimationError("p must be in [0, 1]")
     if not 1 <= r <= n:
         raise EstimationError("need 1 <= r <= n")
+    from scipy import special
+
     return float(special.betainc(r, n - r + 1, p))
 
 
@@ -103,7 +104,7 @@ def quantile_confidence_interval(
     n = x.size
     if n < 2:
         raise EstimationError("need at least 2 values")
-    from scipy import stats  # the only scipy.stats use; keep it off import
+    from scipy import stats
 
     point = empirical_quantile(x, q)
     tail = (1.0 - level) / 2.0

@@ -71,6 +71,17 @@ class TestHyperSample:
         assert hs.estimate == 3.0
         assert hs.units_used == est.n * est.m
 
+    def test_mu_rounding_to_the_maximum_falls_back(self):
+        # A spread below ~1e-12 of the values: the smallest μ offsets
+        # round to max(x), so some rounds' fits fail.  Those rounds fall
+        # back to the sample maximum instead of aborting the run.
+        powers = 1.0 + np.random.default_rng(0).uniform(0.0, 1e-13, 20000)
+        pop = FinitePopulation(powers, name="flat-to-1e-13")
+        result = MaxPowerEstimator(pop).run(rng=0)
+        fallbacks = [hs for hs in result.hyper_samples if hs.fallback_reason]
+        assert fallbacks
+        assert all(hs.estimate == hs.maxima.max() for hs in fallbacks)
+
     def test_uses_batched_block_maxima_path(self, small_population):
         """hyper_sample consumes the RNG exactly like one batched
         sample_block_maxima call (the vectorized hot path)."""

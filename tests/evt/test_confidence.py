@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+from scipy import special
 
 from repro.errors import EstimationError
+from repro.evt import t_table
 from repro.evt.confidence import (
     MeanInterval,
     normal_interval,
@@ -42,8 +45,36 @@ class TestQuantiles:
             t_two_sided_quantile(0.9, 0)
 
 
+def _matches_table_source(value: float, expected: float) -> bool:
+    """A table entry against this host's scipy: exact on the version
+    that generated the table, within 1e-12 relative on any other."""
+    if scipy.__version__ == t_table.SCIPY_VERSION:
+        return value == expected
+    return abs(value - expected) <= 1e-12 * abs(expected)
+
+
+class TestTTable:
+    """The committed l = 0.90 table is ``stdtrit``'s, and is what the
+    repo serves on every host."""
+
+    def test_entries_match_stdtrit(self):
+        assert len(t_table.T90) == 199
+        for dof, value in enumerate(t_table.T90, start=1):
+            expected = float(special.stdtrit(dof, 0.5 * (1.0 + t_table.LEVEL)))
+            assert _matches_table_source(value, expected), dof
+
+    def test_quantiles_are_the_table(self):
+        for dof, value in enumerate(t_table.T90, start=1):
+            assert t_two_sided_quantile(0.90, dof) == value
+            assert t_two_sided_quantile(0.90, float(dof)) == value
+        # Past the table (and between its dofs) scipy answers.
+        assert t_two_sided_quantile(0.90, 200) == float(special.stdtrit(200, 0.95))
+        assert t_two_sided_quantile(0.90, 2.5) == float(special.stdtrit(2.5, 0.95))
+
+
 class TestQuantilesMatchScipyStats:
-    """``scipy.special`` serves the same doubles ``scipy.stats`` did."""
+    """``scipy.special`` serves the same doubles ``scipy.stats`` did; the
+    table-served cells (level 0.90) follow the table's rule."""
 
     LEVELS = [0.005 * i for i in range(1, 200)] + [0.001, 0.683, 0.9973, 0.999]
 
@@ -60,7 +91,10 @@ class TestQuantilesMatchScipyStats:
         for level in self.LEVELS:
             expected = stats.t.ppf(0.5 * (1.0 + level), np.arange(1, 200))
             got = [t_two_sided_quantile(level, dof) for dof in range(1, 200)]
-            assert got == expected.tolist(), level
+            if level == t_table.LEVEL:
+                assert all(map(_matches_table_source, got, expected.tolist()))
+            else:
+                assert got == expected.tolist(), level
 
 
 class TestTInterval:
