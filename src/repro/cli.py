@@ -329,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     srv.add_argument(
-        "--workers", type=int, default=2, help="concurrent job worker threads"
+        "--workers", type=int, default=2,
+        help="job worker processes (forked; one job each at a time)",
     )
     srv.add_argument(
         "--no-memo",

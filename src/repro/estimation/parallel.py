@@ -25,9 +25,12 @@ is not (use ``workers=1`` there).
 
 Fault tolerance
 ---------------
-Tasks are scheduled one future at a time (a submission window of
-``workers`` keeps the per-task timeout clock honest), which makes four
-failure modes recoverable:
+Tasks are scheduled one future at a time, two per worker in flight so
+no worker idles while the parent merges a result and submits the next
+task.  The pool runs tasks in submission order, so a task's timeout
+clock starts when it becomes one of the ``workers`` oldest unfinished
+tasks — when it starts running — never while it waits in the queue.
+This makes four failure modes recoverable:
 
 * **Worker exceptions** — a task that raises is retried up to
   ``retries`` times with exponential backoff
@@ -77,6 +80,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -431,8 +435,11 @@ def _run_pool(
     (empty on normal completion).
     """
     pending = deque((index, 0, payload) for index, payload in items)
+    #: Unfinished tasks in submission order, each with the deadline its
+    #: timeout clock set (``None`` until it is among the running ones).
     inflight: Dict[Future, Tuple[int, int, object, Optional[float]]] = {}
-    window = min(workers, len(items))
+    workers = min(workers, len(items))
+    window = 2 * workers
     rebuilds = 0
     pool: Optional[ProcessPoolExecutor] = None
 
@@ -442,7 +449,7 @@ def _run_pool(
         # across the process boundary, including every rebuilt pool.
         spans = get_span_recorder()
         return ProcessPoolExecutor(
-            max_workers=window,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(
                 estimator,
@@ -470,6 +477,14 @@ def _run_pool(
         ).inc()
         get_span_recorder().emit("pool_rebuild", kind=kind, cause=cause)
 
+    def start_clocks() -> None:
+        # The ``workers`` oldest unfinished tasks are the running ones.
+        now = time.monotonic()
+        for future in islice(inflight, workers):
+            index, attempt, payload, deadline = inflight[future]
+            if deadline is None:
+                inflight[future] = (index, attempt, payload, now + task_timeout)
+
     try:
         pool = build()
         while pending or inflight:
@@ -484,19 +499,18 @@ def _run_pool(
                     pending.appendleft((index, attempt, payload))
                     broken = True
                     break
-                deadline = (
-                    time.monotonic() + task_timeout
-                    if task_timeout is not None
-                    else None
-                )
-                inflight[future] = (index, attempt, payload, deadline)
+                inflight[future] = (index, attempt, payload, None)
             if not broken and inflight:
                 wait_timeout = None
                 if task_timeout is not None:
-                    now = time.monotonic()
+                    start_clocks()
                     wait_timeout = max(
                         0.0,
-                        min(d for *_rest, d in inflight.values()) - now,
+                        min(
+                            d for *_rest, d in inflight.values()
+                            if d is not None
+                        )
+                        - time.monotonic(),
                     )
                 done, _ = wait(
                     set(inflight),

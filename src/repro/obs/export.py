@@ -109,13 +109,13 @@ _HELP: Dict[str, str] = {
     "service_jobs_finished_total": "Jobs finished by the worker pool, by terminal state",
     "service_job_seconds": "Wall-clock time jobs spend executing",
     "service_memo_hits": "Submissions settled from the content-keyed result memo",
-    "service_population_cache_total": "Worker-pool population cache lookups by outcome",
+    "service_population_cache_total": "Worker-process population cache lookups by outcome",
     "service_http_request_seconds": "HTTP request latency by endpoint and method",
     "service_http_responses_total": "HTTP responses by endpoint and status code",
     "service_queue_depth": "Jobs waiting in the queued state",
     "service_active_leases": "Jobs currently leased to worker threads",
     "service_oldest_lease_age_seconds": "Age of the oldest active job lease",
-    "service_busy_workers": "Worker threads currently executing a job",
+    "service_busy_workers": "Worker processes currently executing a job",
     "service_worker_saturation": "Busy fraction of the worker pool (0..1)",
 }
 

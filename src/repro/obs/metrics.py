@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -429,6 +430,15 @@ class MetricsRegistry:
 
 #: The process-wide registry all pipeline instrumentation hangs off.
 _GLOBAL_REGISTRY = MetricsRegistry()
+
+
+def _fresh_lock_after_fork() -> None:
+    # A child forked while another thread held the lock would inherit it
+    # held for good; whoever forks it resets the values it inherited.
+    _GLOBAL_REGISTRY._lock = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 def get_registry() -> MetricsRegistry:

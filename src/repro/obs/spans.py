@@ -9,7 +9,7 @@ boundary the pipeline has:
       job.queue_wait         traceparent header)
       job.claim
       job.run               (worker thread, re-attached from the job row)
-        population.build
+        population.build    (this subtree in the job's worker process)
         sim.compile         (inside the plan cache, on a miss)
         estimator.run       (possibly in a pool child process)
           estimator.hyper_sample   (one per k)
@@ -51,6 +51,7 @@ context explicitly and HTTP handler threads never leak theirs.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import uuid
@@ -481,6 +482,15 @@ class SpanRecorder:
 
 
 _GLOBAL_SPANS = SpanRecorder()
+
+
+def _fresh_lock_after_fork() -> None:
+    # A child forked while another thread held the lock would inherit it
+    # held for good; whoever forks it resets the spans it inherited.
+    _GLOBAL_SPANS._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_lock_after_fork)
 
 
 def get_span_recorder() -> SpanRecorder:

@@ -116,8 +116,9 @@ class Job:
     which never changes after it is read, or — from ``claim_next`` — one
     claim attempt.  The worker drives an attempt's ``trajectory``,
     ``completed_runs`` and ``cancel_event`` (the cooperative
-    cancellation signal its progress hooks check) and settles it
-    through the store's ``mark_*`` methods.
+    cancellation signal checked at each progress message from the
+    job's worker process) and settles it through the store's
+    ``mark_*`` methods.
     """
 
     def __init__(self, job_id: str, spec: JobSpec, created_at: float):

@@ -21,9 +21,10 @@ anonymous when absent).
 
 Built on ``http.server.ThreadingHTTPServer`` — one thread per request,
 stdlib only — with the actual estimation work done by the
-:class:`~repro.service.worker.WorkerPool`, so slow jobs never block
-status polls.  ``port=0`` binds an ephemeral port (tests); the bound
-port is ``JobServer.port`` after :meth:`~JobServer.start`.
+:class:`~repro.service.worker.WorkerPool` in forked worker processes,
+so slow jobs never block status polls and N jobs run on N cores.
+``port=0`` binds an ephemeral port (tests); the bound port is
+``JobServer.port`` after :meth:`~JobServer.start`.
 """
 
 from __future__ import annotations
@@ -360,7 +361,8 @@ class JobServer:
     ``start()``/``stop()`` give tests and embedders full lifecycle
     control; :func:`serve` wraps them for the CLI.  Starting the server
     enables the global metrics registry (the service is an observability
-    consumer by design — ``/metrics`` is part of its API).
+    consumer by design — ``/metrics`` is part of its API) and forks the
+    ``workers`` worker processes; ``stop()`` ends and joins them.
 
     Durable state lives in a WAL-mode SQLite database
     (:class:`~repro.service.store.SQLiteJobStore`); a legacy
@@ -421,7 +423,9 @@ class JobServer:
             self.state_dir, memo=memo,
             replica_id=self.replica_id, lease_ttl=lease_ttl,
         )
-        self.pool = WorkerPool(self.store, num_workers=workers)
+        self.pool = WorkerPool(
+            self.store, num_workers=workers, listener=self._httpd.socket
+        )
         self.max_queue_depth = max_queue_depth
         self.rate_limit = rate_limit
         self.rate_burst = (

@@ -1,17 +1,39 @@
 """Worker pool: drains the job queue through the estimation pipeline.
 
-Each worker is a thread that claims one job at a time from the
-:class:`~repro.service.store.SQLiteJobStore` and executes it:
+Each worker is a pair: a thread in the server process that claims one
+job at a time from the :class:`~repro.service.store.SQLiteJobStore`,
+and a forked, single-threaded *worker process* that executes it.  The
+estimator's Figure-4 loop is Python that holds the GIL, so N worker
+threads would run at about serial speed; N processes run N jobs on N
+cores.  The pool forks its processes in :meth:`WorkerPool.start`,
+before it starts any thread.
 
-* Single-run jobs call :meth:`MaxPowerEstimator.run` directly with a
-  ``progress`` hook, so the job's per-k convergence trajectory updates
-  live and a cancel request aborts between hyper-samples.  A restart
-  re-runs them from scratch — deterministic, so still bit-identical.
+The thread keeps everything that touches the store or the server's
+state — the claim, the lease, the settle, SSE progress and
+``/metrics`` — and relays the job to its process over a pipe:
+
+* Single-run jobs call :meth:`MaxPowerEstimator.run` with a ``progress``
+  hook that sends each per-k trajectory entry to the thread.  The
+  thread appends it to the job's live trajectory — or, once a cancel
+  was requested or the lease was lost, sends "stop", and the process
+  unwinds with :class:`JobCancelledError` at its next hyper-sample.
+  The process never waits for an answer: a pipe round trip per
+  hyper-sample cost about 0.3 ms, 5–8 % of a c880 job.  A restart
+  re-runs single-run jobs from scratch — deterministic, so still
+  bit-identical.
 * Multi-run jobs go through the fault-tolerant
   :func:`repro.api.run_many` facade with a per-job JSONL checkpoint and
-  ``resume=True``: runs completed before a server kill are loaded back,
-  never recomputed, and the scheduler's seed contract keeps the final
-  result list bit-identical to an uninterrupted execution.
+  ``resume=True``; every completed run is relayed the same way.  Runs
+  completed before a server kill are loaded back, never recomputed,
+  and the scheduler's seed contract keeps the final result list
+  bit-identical to an uninterrupted execution.
+
+The last message of a job carries its results — or its exception's
+type name and message, so a job fails with the same ``"{type}:
+{message}"`` error either way — and the process's metrics and spans
+(:func:`~repro.estimation.parallel._task_snapshot`).  The thread merges
+them before it settles the job, so ``/metrics`` and the job's trace
+hold the worker-side activity from the moment the job settles.
 
 When the store's leases expire (a ``lease_ttl`` is set, the default),
 the pool also runs one *lease keeper* thread: it
@@ -25,32 +47,48 @@ stealing).  Every claim hands the worker a fresh
 when a reaped job is re-claimed by another thread of the same pool
 while the old attempt is still unwinding, the two attempts cannot
 interfere.  A worker whose lease was reclaimed observes ``lease.lost``
-in its progress hooks, unwinds without committing (the store's
+in its progress relay, unwinds without committing (the store's
 terminal commit is CAS-guarded on the lease token anyway), and is
 counted under ``service_jobs_finished_total{state="lease_lost"}``.
 
-Populations are cached per worker pool (small LRU keyed on the exact
-build arguments) so repeated jobs against the same circuit skip the
-simulation of tens of thousands of vector pairs.  The cache key includes
-the build seed, so it can never alias two different populations.  A
-population build simulates on the worker thread that claimed the job;
-the C wavefront loop releases the GIL, so two workers' simulation calls
-run at the same time.
+Each worker process caches populations (small LRU keyed on the exact
+build arguments), so repeated jobs against the same circuit on the same
+process skip the simulation of tens of thousands of vector pairs.  The
+cache key includes the build seed, so it can never alias two different
+populations.
+
+A worker process closes the server's listening socket and every pipe
+end but its own, never touches the server's SQLite connection, and
+exits when its pipe closes: at once when idle, at its next message when
+busy — so a killed server leaves no workers behind.  A worker process
+that dies mid-job fails only that job, with an error naming its exit
+code, and the pool forks a replacement.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing
+import signal
 import threading
 from collections import OrderedDict
-from typing import List, Optional
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as wait_ready
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from ..api import build_population, run_many
-from ..errors import JobCancelledError
+from ..errors import JobCancelledError, WorkerError
 from ..estimation.adaptive import build_estimator
+from ..estimation.parallel import (
+    _init_worker,
+    _merge_task_snapshot,
+    _task_snapshot,
+)
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
+from ..sim.native import load_backend
 from .jobs import Job
 from .store import SQLiteJobStore
 
@@ -60,8 +98,10 @@ _METRICS = get_registry()
 _SPANS = get_span_recorder()
 _JOB_TIMER = _METRICS.timer("service_job_seconds")
 
-#: Populations kept per pool; a handful covers a benchmark sweep.
+#: Populations kept per worker process; a handful covers a benchmark sweep.
 _POPULATION_CACHE_SIZE = 8
+
+_FORK = multiprocessing.get_context("fork")
 
 
 def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
@@ -80,18 +120,172 @@ def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
     }
 
 
-class WorkerPool:
-    """``num_workers`` daemon threads draining one :class:`SQLiteJobStore`."""
+# ----------------------------------------------------------------------
+# Worker-process side
+# ----------------------------------------------------------------------
 
-    def __init__(self, store: SQLiteJobStore, num_workers: int = 2):
+#: The thread's one message to a busy worker process: unwind the job.
+_STOP = "stop"
+
+
+def _relay(conn, message) -> None:
+    """Send one progress message to the worker thread, without waiting.
+
+    A "stop" the thread sent since the last message unwinds the job with
+    :class:`JobCancelledError`; a closed pipe means the server is gone,
+    so the process exits.
+    """
+    try:
+        if conn.poll():
+            conn.recv()
+            raise JobCancelledError("job stopped by the server")
+        conn.send(message)
+    except (EOFError, OSError):
+        raise SystemExit(0)
+
+
+def _population_for(populations: "OrderedDict[tuple, object]", spec):
+    key = (
+        spec.circuit,
+        spec.population_size,
+        spec.activity,
+        spec.sim_mode,
+        spec.frequency_mhz,
+        spec.seed,
+    )
+    population = populations.get(key)
+    if population is not None:
+        populations.move_to_end(key)
+        _METRICS.counter("service_population_cache_total", hit="true").inc()
+        return population
+    population = build_population(
+        spec.circuit,
+        population_size=spec.population_size,
+        activity=spec.activity,
+        sim_mode=spec.sim_mode,
+        frequency_mhz=spec.frequency_mhz,
+        seed=spec.seed,
+        workers=spec.config.workers,
+    )
+    populations[key] = population
+    while len(populations) > _POPULATION_CACHE_SIZE:
+        populations.popitem(last=False)
+    _METRICS.counter("service_population_cache_total", hit="false").inc()
+    return population
+
+
+def _run_job(conn, populations, spec, checkpoint) -> List[object]:
+    population = _population_for(populations, spec)
+    if spec.num_runs == 1:
+        # The config's method field picks the engine (fixed block
+        # maxima, POT, or the adaptive controller) — all share the
+        # run(rng, progress) contract, so cancellation and the live
+        # trajectory work identically.
+        estimator = build_estimator(population, spec.config)
+
+        def progress(hs, interval, cumulative_units):
+            entry = _trajectory_entry(hs, interval, cumulative_units)
+            _relay(conn, ("progress", entry))
+
+        result = estimator.run(
+            rng=np.random.default_rng(spec.seed + 1), progress=progress
+        )
+        return [result]
+    return run_many(
+        population,
+        spec.num_runs,
+        spec.config,
+        base_seed=spec.seed + 1,
+        checkpoint=checkpoint,
+        resume=True,
+        on_result=lambda index, result: _relay(conn, ("run", index)),
+    )
+
+
+def _worker_main(conn, inherited, obs_enabled: bool, spans_enabled: bool) -> None:
+    """A worker process: run the jobs its thread sends until the pipe
+    closes.  Each job's span context arrives with it; its metrics and
+    spans go back with its outcome."""
+    # Ctrl-C reaches the whole process group; shutting down is the
+    # server's call, and it ends its workers with SIGTERM.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for handle in inherited:
+        handle.close()
+    _init_worker(None, obs_enabled, spans_enabled)
+    populations: "OrderedDict[tuple, object]" = OrderedDict()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return  # the server closed the pipe, or died
+        if request == _STOP:
+            continue  # sent after the job's last progress message
+        spec, checkpoint, context = request
+        token = _SPANS.attach(context)
+        try:
+            results = _run_job(conn, populations, spec, checkpoint)
+        except Exception as exc:  # noqa: BLE001 — reported to the thread
+            outcome = ("failed", type(exc).__name__, str(exc), _task_snapshot())
+        else:
+            outcome = ("done", results, _task_snapshot())
+        finally:
+            _SPANS.detach(token)
+        try:
+            conn.send(outcome)
+        except OSError:
+            return
+
+
+# ----------------------------------------------------------------------
+# Server side
+# ----------------------------------------------------------------------
+
+class _JobFailed(Exception):
+    """A job's exception in its worker process, by type name and message
+    (the exception itself need not pickle)."""
+
+    def __init__(self, error: str):
+        super().__init__(error)
+        self.error = error
+
+
+class _PoolStopped(Exception):
+    """The pool ended the job's worker process while stopping; the job
+    is left to restart recovery or lease expiry, as after a crash."""
+
+
+class _Worker(NamedTuple):
+    """One worker process and the server's end of its pipe."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: Connection
+
+
+class WorkerPool:
+    """``num_workers`` worker processes, each driven by a thread that
+    drains one :class:`SQLiteJobStore`.
+
+    ``listener`` is the server's listening socket, which each worker
+    process closes after the fork.
+    """
+
+    def __init__(
+        self, store: SQLiteJobStore, num_workers: int = 2, listener=None
+    ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.store = store
         self.num_workers = num_workers
+        self._listener = listener
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
-        self._cache_lock = threading.Lock()
-        self._populations: "OrderedDict[tuple, object]" = OrderedDict()
+        self._workers: List[Optional[_Worker]] = [None] * num_workers
+        #: Serialises forks, so a new process never inherits a pipe it
+        #: cannot know to close, and keeps stop() from racing a refork.
+        self._fork_lock = threading.Lock()
+        #: ``index``: the worker slot of the current worker thread.
+        self._local = threading.local()
         self._busy_lock = threading.Lock()
         self._busy = 0
         #: In-flight claim attempts, keyed by (job id, lease token) and
@@ -103,15 +297,27 @@ class WorkerPool:
         self._active: dict = {}
 
     def busy_count(self) -> int:
-        """Worker threads currently executing a job (saturation gauge)."""
+        """Worker processes currently executing a job (saturation gauge)."""
         with self._busy_lock:
             return self._busy
 
+    def worker_pids(self) -> List[int]:
+        """Process ids of the live worker processes."""
+        with self._fork_lock:
+            return [w.process.pid for w in self._workers if w is not None]
+
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        for i in range(self.num_workers):
+        # Probe the C library once here, so every worker process
+        # inherits it loaded.
+        load_backend()
+        with self._fork_lock:
+            for index in range(self.num_workers):
+                self._fork_locked(index)
+        for index in range(self.num_workers):
             thread = threading.Thread(
-                target=self._loop, name=f"repro-worker-{i}", daemon=True
+                target=self._loop, args=(index,),
+                name=f"repro-worker-{index}", daemon=True,
             )
             thread.start()
             self._threads.append(thread)
@@ -122,13 +328,42 @@ class WorkerPool:
             )
             keeper.start()
             self._threads.append(keeper)
+        # Interpreter exit joins child processes, and these wait on
+        # their pipes: a pool never stopped would hang the exit.
+        atexit.register(self.stop)
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
+        """Stop claiming, end every worker process and join it.  A job
+        still running stays ``running`` in the store, as after a crash."""
+        atexit.unregister(self.stop)
+        with self._fork_lock:
+            self._stop.set()
+            workers = [w for w in self._workers if w is not None]
+            self._workers = [None] * self.num_workers
         self.store.wake_all()
+        for worker in workers:
+            worker.process.terminate()
         for thread in self._threads:
             thread.join(timeout)
         self._threads.clear()
+        for worker in workers:
+            worker.process.join(timeout)
+            worker.conn.close()
+
+    def _fork_locked(self, index: int) -> None:
+        """Fork the worker process of slot ``index`` (``_fork_lock`` held)."""
+        ours, theirs = _FORK.Pipe()
+        inherited = [ours] + [w.conn for w in self._workers if w is not None]
+        if self._listener is not None:
+            inherited.append(self._listener)
+        process = _FORK.Process(
+            target=_worker_main,
+            args=(theirs, inherited, _METRICS.enabled, _SPANS.enabled),
+            name=f"repro-worker-{index}",
+        )
+        process.start()
+        theirs.close()
+        self._workers[index] = _Worker(process, ours)
 
     # -- lease keeper ---------------------------------------------------
     def _lease_keeper(self) -> None:
@@ -147,49 +382,17 @@ class WorkerPool:
             self.store.reap_expired()
 
     # -- execution ------------------------------------------------------
-    def _loop(self) -> None:
+    def _loop(self, index: int) -> None:
         # The claim is an atomic store-side lease keyed by this thread's
         # name; memo-settled jobs complete at submit time and are never
         # handed out here.
+        self._local.index = index
         owner = threading.current_thread().name
         while not self._stop.is_set():
             job = self.store.claim_next(timeout=0.2, owner=owner)
             if job is None:
                 continue
             self._execute(job)
-
-    def _population_for(self, job: Job):
-        spec = job.spec
-        key = (
-            spec.circuit,
-            spec.population_size,
-            spec.activity,
-            spec.sim_mode,
-            spec.frequency_mhz,
-            spec.seed,
-        )
-        with self._cache_lock:
-            if key in self._populations:
-                self._populations.move_to_end(key)
-                _METRICS.counter("service_population_cache_total", hit="true").inc()
-                return self._populations[key]
-        # Build outside the lock: population simulation is the slow part
-        # and two workers building the same key just race benignly.
-        population = build_population(
-            spec.circuit,
-            population_size=spec.population_size,
-            activity=spec.activity,
-            sim_mode=spec.sim_mode,
-            frequency_mhz=spec.frequency_mhz,
-            seed=spec.seed,
-            workers=spec.config.workers,
-        )
-        with self._cache_lock:
-            self._populations[key] = population
-            while len(self._populations) > _POPULATION_CACHE_SIZE:
-                self._populations.popitem(last=False)
-            _METRICS.counter("service_population_cache_total", hit="false").inc()
-        return population
 
     def _execute(self, job: Job) -> None:
         lease = job.lease
@@ -198,8 +401,8 @@ class WorkerPool:
             self._busy += 1
             self._active[active_key] = (job, lease)
         # Re-attach the trace context the job carried through the queue so
-        # estimator/fit/population spans nest under this job's trace even
-        # though a different thread than the HTTP handler runs it.
+        # the job's spans nest under its trace even though a different
+        # thread than the HTTP handler claims it.
         tracing = _SPANS.enabled and job.trace_id is not None
         context = job.trace_context if tracing else None
         token = _SPANS.attach(context) if tracing else None
@@ -230,6 +433,8 @@ class WorkerPool:
             try:
                 with _JOB_TIMER.time():
                     results = self._run(job, lease)
+            except _PoolStopped:
+                pass
             except JobCancelledError:
                 self._settle(
                     job,
@@ -239,7 +444,10 @@ class WorkerPool:
                     lambda j: self.store.mark_cancelled(j, lease=lease),
                 )
             except Exception as exc:  # noqa: BLE001 — job isolation boundary
-                message = f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, _JobFailed):
+                    message = exc.error
+                else:
+                    message = f"{type(exc).__name__}: {exc}"
                 self._settle(
                     job,
                     lease,
@@ -299,39 +507,69 @@ class WorkerPool:
                 self.store.save_spans(job.id, records)
 
     def _run(self, job: Job, lease) -> List[object]:
-        spec = job.spec
-        population = self._population_for(job)
-        if spec.num_runs == 1:
-            # The config's method field picks the engine (fixed block
-            # maxima, POT, or the adaptive controller) — all share the
-            # run(rng, progress) contract, so cancellation and the live
-            # trajectory work identically.
-            estimator = build_estimator(population, spec.config)
-
-            def progress(hs, interval, cumulative_units):
-                if job.cancel_event.is_set() or lease.lost:
-                    raise JobCancelledError(f"job {job.id} cancelled")
-                job.trajectory.append(
-                    _trajectory_entry(hs, interval, cumulative_units)
-                )
-
-            result = estimator.run(
-                rng=np.random.default_rng(spec.seed + 1), progress=progress
-            )
-            job.completed_runs = 1
-            return [result]
-
-        def on_result(index: int, result) -> None:
-            if job.cancel_event.is_set() or lease.lost:
-                raise JobCancelledError(f"job {job.id} cancelled")
-            job.completed_runs += 1
-
-        return run_many(
-            population,
-            spec.num_runs,
-            spec.config,
-            base_seed=spec.seed + 1,
-            checkpoint=self.store.run_checkpoint_path(job.id),
-            resume=True,
-            on_result=on_result,
+        """Run ``job`` on this thread's worker process: take in its
+        progress, tell it to stop once the job is cancelled or the lease
+        is lost, and merge its metrics and spans when it ends."""
+        index = self._local.index
+        worker = self._workers[index]
+        if worker is not None and not worker.process.is_alive():
+            self._replace(index, worker)  # it died idle: the job is unharmed
+            worker = self._workers[index]
+        if worker is None:
+            raise _PoolStopped()
+        request = (
+            job.spec,
+            self.store.run_checkpoint_path(job.id),
+            _SPANS.current_context(),
         )
+        stopping = False
+        try:
+            worker.conn.send(request)
+            while True:
+                ready = wait_ready([worker.conn, worker.process.sentinel])
+                if worker.conn not in ready:
+                    raise EOFError
+                message = worker.conn.recv()
+                kind = message[0]
+                if kind in ("progress", "run"):
+                    if stopping:
+                        continue
+                    if job.cancel_event.is_set() or lease.lost:
+                        # The process sees it at its next message.
+                        stopping = True
+                        worker.conn.send(_STOP)
+                    elif kind == "progress":
+                        job.trajectory.append(message[1])
+                    else:
+                        job.completed_runs += 1
+                    continue
+                _merge_task_snapshot(_METRICS, message[-1])
+                if kind == "done" and not stopping:
+                    if job.spec.num_runs == 1:
+                        job.completed_runs = 1
+                    return message[1]
+                if stopping or message[1] == JobCancelledError.__name__:
+                    raise JobCancelledError(f"job {job.id} cancelled")
+                _kind, type_name, text, _snapshot = message
+                raise _JobFailed(f"{type_name}: {text}")
+        except (EOFError, OSError):
+            if not self._replace(index, worker):
+                raise _PoolStopped() from None
+            raise WorkerError(
+                f"worker process {worker.process.pid} exited with code "
+                f"{worker.process.exitcode} mid-job"
+            ) from None
+
+    def _replace(self, index: int, worker: _Worker) -> bool:
+        """Reap a dead worker process and fork its replacement (False
+        when the pool is stopping instead)."""
+        worker.process.join(5.0)
+        if worker.process.exitcode is None:
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
+        with self._fork_lock:
+            if self._stop.is_set():
+                return False
+            self._fork_locked(index)
+        return True

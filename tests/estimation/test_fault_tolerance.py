@@ -145,6 +145,27 @@ class TestHangRecovery:
         assert err.value.cause_type == "timeout"
 
 
+    def test_queued_task_never_times_out_for_its_wait(
+        self, estimator, baseline, registry
+    ):
+        # Two tasks per worker are in flight, so tasks 2-5 wait behind
+        # ~0.6 s tasks before they start.  A task's clock starts when it
+        # starts running: none of the six reaches the 1 s timeout, where
+        # a clock started at submission would time out task 2.
+        slow = FaultyEstimator(
+            estimator, hang_indices=range(NUM_RUNS), hang_seconds=0.6,
+            max_attempt=None,
+        )
+        results = run_many(
+            slow, NUM_RUNS, base_seed=BASE_SEED, workers=2,
+            retries=0, task_timeout=1.0, backoff=0.0,
+        )
+        assert dicts(results) == baseline
+        assert registry.counter(
+            "parallel_task_timeouts_total", kind="run"
+        ).value == 0
+
+
 class TestBrokenPoolRecovery:
     def test_dead_worker_degrades_to_serial_bit_identical(
         self, estimator, baseline, registry

@@ -1,9 +1,9 @@
 """Service-side unit-delay simulation: identical bits, reported tier.
 
-Each worker thread simulates its own job's population, concurrently
+Each worker process simulates its own job's population, concurrently
 with the other workers.  These tests prove the service contract around
 it: results are bit-identical to in-process runs — with concurrent jobs
-simulating on both worker threads at once, and across a replica
+simulating on both worker processes at once, and across a replica
 steal-back re-run — and the host's simulation tier is surfaced on
 ``/healthz`` and in the shutdown summary.
 """
@@ -52,7 +52,7 @@ def committed_results(state_dir, job_id):
 
 class TestUnitJobBitIdentity:
     def test_concurrent_unit_jobs_bit_identical(self, fabric, bench_path):
-        """Eight seeds race through two worker threads; every result
+        """Eight seeds race through two worker processes; every result
         must equal its solo in-process run exactly (per-job seed
         streams and accounting are untouched by concurrency)."""
         server = fabric("state", workers=2, lease_ttl=None)
