@@ -10,6 +10,10 @@ Layering:
 * :mod:`~repro.evt.mle` — profile-likelihood MLE (§2.2/§3.2).
 * :mod:`~repro.evt.brent` — the MLE's root finder and bounded
   minimiser, ports of scipy's that return its doubles.
+* :mod:`~repro.evt.gpd` — the generalized Pareto law and its
+  threshold-exceedance fits (the POT route), whose MLE runs on
+  :mod:`~repro.evt.nelder_mead`, a port of scipy's Nelder–Mead that
+  returns its doubles.
 * :mod:`~repro.evt.fitting` — the rejected curve-fit/moment
   alternatives plus normal fits (Figures 1–2, ablations).
 * :mod:`~repro.evt.domain` — domain-of-attraction diagnostics.

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import EstimationError, FitError
 from .distributions import _as_array, _scalar_aware
+from .nelder_mead import minimize_neldermead
 
 __all__ = ["GPD", "fit_gpd", "fit_gpd_pwm", "fit_gpd_mle"]
 
@@ -157,47 +158,95 @@ def fit_gpd_pwm(y: np.ndarray) -> GPD:
     return GPD(xi=xi, sigma=sigma)
 
 
+def _negll(y: np.ndarray) -> Callable[[Sequence[float]], float]:
+    """The MLE's objective on validated exceedances ``y``: ``(ξ, ln σ)``
+    ↦ ``-sum(GPD(ξ, σ).logpdf(y))``, bit for bit, without building a
+    :class:`GPD`; ``inf`` where that law is undefined or puts an
+    exceedance past its endpoint."""
+    y_max = float(y.max())
+
+    def negll(params: Sequence[float]) -> float:
+        xi, log_sigma = params
+        try:
+            sigma = math.exp(log_sigma)
+        except OverflowError:
+            return math.inf
+        if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(xi)):
+            return math.inf
+        if abs(xi) < _EXP_EPS:
+            ll = -math.log(sigma) - y / sigma
+        else:
+            # 1 + ξy/σ is at least 1 for ξ > 0 and falls with y for
+            # ξ < 0 (rounding is monotone), so its smallest value is the
+            # one at max(y).
+            if xi < 0 and 1.0 + xi * y_max / sigma <= 0:
+                return math.inf
+            ll = -math.log(sigma) - (1.0 / xi + 1.0) * np.log(
+                1.0 + xi * y / sigma
+            )
+        total = float(np.add.reduce(ll))
+        return -total if math.isfinite(total) else math.inf
+
+    return negll
+
+
+def _open_start(y: np.ndarray) -> GPD:
+    """A start with no right endpoint (ξ > 0), so no exceedance lies
+    past it."""
+    return GPD(xi=0.1, sigma=float(y.mean()))
+
+
+def _improve(negll, start: GPD) -> Optional[GPD]:
+    """The Nelder–Mead fit from ``start``, or ``None`` when it fails or
+    does not improve on ``start``."""
+    x0 = (start.xi, math.log(start.sigma))
+    result = minimize_neldermead(
+        negll, x0, xatol=1e-8, fatol=1e-10, maxiter=2000
+    )
+    if result.success and result.fun < negll(x0):
+        xi, log_sigma = result.x
+        return GPD(xi=xi, sigma=math.exp(log_sigma))
+    return None
+
+
 def fit_gpd_mle(
     y: np.ndarray, start: Optional[GPD] = None
 ) -> GPD:
     """Maximum-likelihood GPD fit, started from the PWM point.
 
-    Optimizes ``(ξ, log σ)`` with the support constraint folded into the
-    objective (−inf outside).  Falls back to the PWM fit if the
-    optimizer fails to improve on it.
-    """
-    from scipy import optimize
+    Minimizes the negative log-likelihood over ``(ξ, log σ)`` by
+    Nelder–Mead, with the support constraint folded into the objective
+    (``inf`` outside).  Falls back to the start if the optimizer fails
+    to improve on it.  A start that puts an exceedance past its
+    endpoint is refuted by the data and never returned: the fit then
+    restarts once from ``ξ = 0.1``, which has no endpoint.
 
+    Raises
+    ------
+    FitError
+        ``cause="infeasible-start"`` when the start puts an exceedance
+        past its endpoint and neither run converges (below ξ = −1 the
+        likelihood has no maximum).
+    """
     y = _validate_exceedances(y, 5)
     if start is None:
         try:
             start = fit_gpd_pwm(y)
         except FitError:
-            start = GPD(xi=0.1, sigma=float(y.mean()))
+            start = _open_start(y)
 
-    def negll(params: np.ndarray) -> float:
-        xi, log_sigma = params
-        sigma = math.exp(log_sigma)
-        try:
-            dist = GPD(xi=xi, sigma=sigma)
-        except EstimationError:
-            return np.inf
-        ll = dist.logpdf(y)
-        total = float(np.sum(ll))
-        return np.inf if not math.isfinite(total) else -total
-
-    x0 = np.array([start.xi, math.log(start.sigma)])
-    with np.errstate(invalid="ignore"):
-        # Nelder-Mead probes the infeasible region (negll = inf), which
-        # triggers harmless inf-inf comparisons inside scipy.
-        result = optimize.minimize(
-            negll, x0, method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000},
-        )
-    if result.success and negll(result.x) < negll(x0):
-        xi, log_sigma = result.x
-        return GPD(xi=float(xi), sigma=float(math.exp(log_sigma)))
-    return start
+    negll = _negll(y)
+    fit = _improve(negll, start)
+    if fit is None and negll((start.xi, math.log(start.sigma))) == math.inf:
+        fit = _improve(negll, _open_start(y))
+        if fit is None:
+            raise FitError(
+                "infeasible start: the start puts an exceedance past its "
+                "endpoint and Nelder-Mead converged neither from it nor "
+                "from xi = 0.1",
+                cause="infeasible-start",
+            )
+    return start if fit is None else fit
 
 
 def fit_gpd(

@@ -53,6 +53,11 @@ from ..schemas import check_schema_version, load_estimation_result
 __all__ = ["Client"]
 
 _TERMINAL = ("completed", "failed", "cancelled")
+#: Keys an SSE event payload adds to the job status dict.
+_EVENT_KEYS = ("schema", "event")
+#: Shortest socket timeout of an events connection opened near its
+#: deadline (the server's first frame arrives at once).
+_MIN_READ_TIMEOUT = 0.05
 
 
 class Client:
@@ -82,17 +87,25 @@ class Client:
     def _base_headers(self) -> dict:
         return {"X-API-Key": self.api_key} if self.api_key is not None else {}
 
-    def _urlopen(self, request: urllib.request.Request, retryable: bool):
+    def _urlopen(
+        self,
+        request: urllib.request.Request,
+        retryable: bool,
+        timeout: Optional[float] = None,
+    ):
         """``urlopen`` with bounded retry on transient transport faults.
 
         Retries only connection-level failures (refused, reset, dropped
         mid-restart) — an HTTP error response is a server answer, not a
-        transport fault, and propagates immediately.
+        transport fault, and propagates immediately.  ``timeout``
+        overrides the client's socket timeout for this connection.
         """
+        if timeout is None:
+            timeout = self.timeout
         attempt = 0
         while True:
             try:
-                return urllib.request.urlopen(request, timeout=self.timeout)
+                return urllib.request.urlopen(request, timeout=timeout)
             except urllib.error.HTTPError:
                 raise
             except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
@@ -250,21 +263,18 @@ class Client:
         timeout: Optional[float] = None,
         poll_interval: float = 0.2,
     ) -> dict:
-        """Poll until the job reaches a terminal state; return its status.
+        """Block until the job reaches a terminal state; return its status
+        (the dict :meth:`status` returns).
 
-        Raises :class:`~repro.errors.ServiceError` if ``timeout`` (in
-        seconds) elapses first — the job keeps running server-side.
+        Follows :meth:`stream`, so it returns as soon as the job settles;
+        a server without the events endpoint is polled every
+        ``poll_interval`` seconds.  Raises
+        :class:`~repro.errors.ServiceError` if ``timeout`` (in seconds)
+        elapses first — the job keeps running server-side.
         """
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        while True:
-            status = self.status(job_id)
-            if status["state"] in ("completed", "failed", "cancelled"):
-                return status
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status['state']} after {timeout:g}s"
-                )
-            time.sleep(poll_interval)
+        for status in self.stream(job_id, poll_interval, timeout):
+            pass
+        return {k: v for k, v in status.items() if k not in _EVENT_KEYS}
 
     def stream(
         self,
@@ -333,7 +343,16 @@ class Client:
         — a generator's body wouldn't run until first ``next()``.
         """
         path = f"/v1/jobs/{job_id}/events"
-        response = self._open_events(path)
+
+        def read_timeout() -> Optional[float]:
+            # A job that sends no event (still queued) cannot hold the
+            # stream past its deadline: reads give up there.
+            if deadline is None:
+                return None
+            left = deadline - time.monotonic()
+            return max(min(self.timeout, left), _MIN_READ_TIMEOUT)
+
+        response = self._open_events(path, timeout=read_timeout())
         if response is None:
             return None
 
@@ -343,7 +362,7 @@ class Client:
             while True:
                 disconnected = False
                 try:
-                    for payload in self._parse_sse(conn):
+                    for payload in self._parse_sse(conn, deadline):
                         attempt = 0  # healthy stream: reset retry budget
                         mark = (
                             payload["state"],
@@ -375,6 +394,11 @@ class Client:
                     # down gracefully mid-stream.  Reconnect (retried —
                     # another replica or a restart finishes the job).
                     pass
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise ServiceError(
+                        f"job {job_id} still {last[0][0] or 'unsettled'} "
+                        f"after {timeout:g}s"
+                    )
                 attempt += 1
                 if attempt > self.retries:
                     raise ServiceError(
@@ -382,13 +406,8 @@ class Client:
                         f"{self.retries} reconnects failed "
                         f"(is the service running at {self.base_url}?)"
                     )
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ServiceError(
-                        f"job {job_id} event stream timed out after "
-                        f"{timeout:g}s"
-                    )
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-                conn = self._open_events(path)
+                conn = self._open_events(path, timeout=read_timeout())
                 if conn is None:  # downgraded server mid-stream
                     yield from self._stream_poll(
                         job_id, 0.2, deadline, timeout, last
@@ -397,9 +416,10 @@ class Client:
 
         return events()
 
-    def _open_events(self, path: str):
+    def _open_events(self, path: str, timeout: Optional[float] = None):
         """One SSE connection attempt; ``None`` means the server has no
         events endpoint (404/405) and the caller should poll instead.
+        ``timeout`` bounds each read (default: the client's timeout).
 
         A 404 is ambiguous (unknown endpoint vs. unknown job) — polling
         resolves it: the status request re-raises a crisp 404 for a
@@ -409,19 +429,27 @@ class Client:
         headers["Accept"] = "text/event-stream"
         request = urllib.request.Request(self.base_url + path, headers=headers)
         try:
-            return self._urlopen(request, retryable=True)
+            return self._urlopen(request, retryable=True, timeout=timeout)
         except urllib.error.HTTPError as exc:
             exc.read()
             if exc.code in (404, 405):
                 return None
             raise self._http_error("GET", path, exc) from None
 
-    def _parse_sse(self, response) -> Iterator[dict]:
+    def _parse_sse(
+        self, response, deadline: Optional[float] = None
+    ) -> Iterator[dict]:
         """Decode ``data:`` frames off one SSE connection into validated
         status payloads; comments (keepalives) and other fields are
-        skipped.  Ends when the server closes the stream."""
+        skipped.  Ends when the server closes the stream, or at a
+        keepalive after which the next one would come past ``deadline``
+        (a ``time.monotonic()``): the caller then reconnects with reads
+        that give up at the deadline."""
         data_lines: List[str] = []
+        previous = time.monotonic()
         for raw in response:
+            now = time.monotonic()
+            gap, previous = now - previous, now
             line = raw.decode("utf-8").rstrip("\r\n")
             if not line:  # blank line: dispatch accumulated event
                 if data_lines:
@@ -430,8 +458,10 @@ class Client:
                     check_schema_version(payload, "job event payload")
                     yield payload
                 continue
-            if line.startswith(":"):
-                continue  # keepalive comment
+            if line.startswith(":"):  # keepalive comment, one silent gap
+                if deadline is not None and now + gap >= deadline:
+                    return
+                continue
             if line.startswith("data:"):
                 data_lines.append(line[5:].lstrip(" "))
 

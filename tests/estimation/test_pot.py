@@ -10,6 +10,8 @@ from repro.estimation.pot import PeaksOverThresholdEstimator
 from repro.evt.distributions import GeneralizedWeibull
 from repro.vectors.population import FinitePopulation
 
+from ..evt.test_gpd import INFEASIBLE_START_EXCEEDANCES
+
 
 @pytest.fixture(scope="module")
 def pool():
@@ -87,6 +89,20 @@ class TestRounds:
         for hs in flagged:
             # The batch maximum, recovered from the stored exceedances.
             assert hs.estimate == pytest.approx(hs.maxima.max(), rel=1e-12)
+
+    def test_infeasible_fit_falls_back_with_its_reason(self, monkeypatch):
+        # 91 zeros put the 0.9 quantile of a 101-unit batch at 0, so the
+        # round's exceedances are exactly these values, whose GPD fit has
+        # an infeasible start.
+        batch = np.concatenate([np.zeros(91), INFEASIBLE_START_EXCEEDANCES])
+        population = FinitePopulation(batch, name="fixed-batch")
+        monkeypatch.setattr(
+            population, "sample_powers", lambda n, rng=None: batch.copy()
+        )
+        est = PeaksOverThresholdEstimator(population, batch_size=101)
+        hs = est.round_estimate(1, rng=0)
+        assert hs.fallback_reason.startswith("infeasible start")
+        assert hs.estimate == batch.max()
 
     def test_fitted_rounds_carry_no_reason(self, pool, monkeypatch):
         outcomes = gpd_outcomes(monkeypatch)

@@ -9,6 +9,14 @@ from scipy import stats
 from repro.errors import EstimationError, FitError
 from repro.evt.gpd import GPD, fit_gpd_mle, fit_gpd_pwm
 
+#: Exceedances whose PWM start puts the largest one past its endpoint.
+INFEASIBLE_START_EXCEEDANCES = [
+    3.185324999999974e-05, 6.370649999999927e-05, 6.452324999999914e-05,
+    5.036624999999991e-05, 0.00011243924999999942, 5.826149999999951e-05,
+    9.174825000000009e-05, 4.9821749999999845e-05, 5.199974999999966e-05,
+    2.9402999999999678e-05,
+]
+
 GPDS = [
     GPD(xi=-0.3, sigma=1.0),   # bounded tail
     GPD(xi=0.0, sigma=2.0),    # exponential
@@ -102,6 +110,31 @@ class TestFits:
             fit = fit_gpd_mle(true.rvs(30, rng))
             assert math.isfinite(fit.xi)
             assert fit.sigma > 0
+
+    def test_fits_never_put_an_exceedance_past_the_endpoint(self):
+        # PWM starts of small bounded-tail samples often end below the
+        # largest value (9 of these 40); the fit restarts from xi = 0.1.
+        true = GPD(xi=-0.2, sigma=1.0)
+        rng = np.random.default_rng(6)
+        refuted_starts = 0
+        for _ in range(40):
+            y = true.rvs(30, rng)
+            refuted_starts += fit_gpd_pwm(y).right_endpoint() <= y.max()
+            assert fit_gpd_mle(y).right_endpoint() > y.max()
+        assert refuted_starts > 0
+
+    def test_infeasible_start_raises(self):
+        # One POT round's exceedances (c880 zero-delay pool of 20k pairs,
+        # seed 1; method="auto" at rng 1005).  The PWM start, xi = -2.23,
+        # ends at 8.75e-5, below the largest value: its likelihood is 0.
+        # Below xi = -1 the likelihood has no maximum, so Nelder-Mead runs
+        # out of iterations from that start and from xi = 0.1.
+        y = np.array(INFEASIBLE_START_EXCEEDANCES)
+        start = fit_gpd_pwm(y)
+        assert start.xi < -2 and start.right_endpoint() < y.max()
+        with pytest.raises(FitError, match="infeasible start") as info:
+            fit_gpd_mle(y)
+        assert info.value.cause == "infeasible-start"
 
 
 class TestFitDispatcher:

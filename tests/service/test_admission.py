@@ -149,7 +149,9 @@ class TestEventStream:
     ):
         _, client = service
         # An older server: no /events endpoint at all.
-        monkeypatch.setattr(Client, "_open_events", lambda self, path: None)
+        monkeypatch.setattr(
+            Client, "_open_events", lambda self, path, timeout=None: None
+        )
         job = client.submit(quick_spec)
         statuses = list(client.stream(job["id"], timeout=30))
         assert statuses[-1]["state"] == "completed"
