@@ -40,6 +40,7 @@ from .estimation.adaptive import build_estimator
 from .estimation.mc_estimator import MaxPowerEstimator, check_run_settings
 from .estimation.parallel import (
     SeedLike,
+    check_execution_settings,
     hyper_sample_many as _hyper_sample_many,
     run_many as _run_many,
 )
@@ -142,12 +143,7 @@ class EstimatorConfig:
         if self.m < 3:
             raise ConfigError("need m >= 3 block maxima for the MLE")
         check_run_settings(self)
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigError("task_timeout must be positive (or None)")
+        check_execution_settings(self.workers, self.retries, self.task_timeout)
         # Cross-field constraints for the method switch: fail loudly at
         # construction, not deep inside a worker mid-run.
         if self.method == "auto" and (

@@ -45,7 +45,6 @@ from ..errors import ConfigError, FitError
 from ..evt.block_maxima import DEFAULT_NUM_SAMPLES
 from ..evt.gpd import fit_gpd
 from ..evt.mle import fit_weibull_mle
-from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
@@ -56,12 +55,9 @@ from .tuner import BlockSizeTuner
 
 __all__ = ["AdaptiveMaxPowerEstimator", "build_estimator"]
 
-_METRICS = get_registry()
+# The decision is two spans, ``adaptive.pilot`` and ``adaptive.cv``; the
+# ``adaptive_*`` metrics fold from them.
 _SPANS = get_span_recorder()
-_PILOT_UNITS = _METRICS.counter("adaptive_pilot_units_total")
-_CHOSEN_N_HIST = _METRICS.histogram(
-    "adaptive_chosen_n", buckets=(10.0, 30.0, 60.0, 100.0, 200.0)
-)
 
 #: Pilot Weibull-fallback fraction above which m is doubled: when a
 #: quarter of pilot fits at the chosen n degenerate to the sample
@@ -313,9 +309,6 @@ class AdaptiveMaxPowerEstimator:
         alone reports to ``progress`` (the pilot's cost is bounded)."""
         gen = as_rng(rng)
         decision, engine, overhead = self.decide(gen)
-        _METRICS.counter("adaptive_runs_total", family=decision.family).inc()
-        _PILOT_UNITS.inc(overhead)
-        _CHOSEN_N_HIST.observe(decision.chosen_n)
         result = engine.run(rng=gen, progress=progress)
         result.method = "auto"
         result.decision = decision

@@ -29,11 +29,6 @@ from ..evt.block_maxima import (
 )
 from ..evt.confidence import t_mean_interval
 from ..evt.mle import fit_weibull_mle
-from ..obs.metrics import (
-    DEFAULT_ALPHA_BUCKETS,
-    DEFAULT_K_BUCKETS,
-    get_registry,
-)
 from ..obs.spans import get_span_recorder
 from ..vectors.generators import RngLike, as_rng
 from ..vectors.population import PowerPopulation
@@ -42,20 +37,9 @@ from .result import EstimationResult, HyperSample
 
 __all__ = ["MaxPowerEstimator", "check_run_settings", "run_sequential"]
 
-# Module-level metric handles: one dict lookup at import, then each
-# record is a branch on the registry's enabled flag (no-op fast path).
-_METRICS = get_registry()
+# The run and each round are one span each; the ``estimator_*`` metrics
+# fold from them (repro.obs.fold).
 _SPANS = get_span_recorder()
-_RUN_TIMER = _METRICS.timer("estimator_run_seconds")
-_HS_TIMER = _METRICS.timer("estimator_hyper_sample_seconds")
-_RUNS_TOTAL = _METRICS.counter("estimator_runs_total")
-_RUNS_CONVERGED = _METRICS.counter("estimator_runs_converged_total")
-_HS_TOTAL = _METRICS.counter("estimator_hyper_samples_total")
-_HS_FALLBACKS = _METRICS.counter("estimator_fallbacks_total")
-_UNITS_TOTAL = _METRICS.counter("estimator_units_total")
-_NONREGULAR = _METRICS.counter("estimator_nonregular_fits_total")
-_ALPHA_HIST = _METRICS.histogram("estimator_alpha", buckets=DEFAULT_ALPHA_BUCKETS)
-_K_HIST = _METRICS.histogram("estimator_k", buckets=DEFAULT_K_BUCKETS)
 
 
 def check_run_settings(settings, population: Optional[PowerPopulation] = None):
@@ -114,27 +98,19 @@ def _hyper_sample_attributes(
 def _instrumented_round(engine, draw, index: int, gen, settle=None):
     """``draw(index, gen)`` under its ``estimator.hyper_sample`` span:
     clip a fitted estimate to ``engine.upper_bound`` (an observed
-    maximum never is), count the round, and (inside a run) let
-    ``settle(hs)`` fold it in, returning ``(interval, cumulative_units)``.
+    maximum never is), record the round on the span, and (inside a run)
+    let ``settle(hs)`` fold it in, returning
+    ``(interval, cumulative_units)``.
     """
     interval = cumulative_units = None
     with _SPANS.span("estimator.hyper_sample", k=index) as span:
-        with _HS_TIMER.time():
-            hs = draw(index, gen)
-            bound = engine.upper_bound
-            if bound is not None and hs.fallback_reason is None:
-                hs = replace(hs, estimate=min(hs.estimate, bound))
-        _HS_TOTAL.inc()
-        _UNITS_TOTAL.inc(hs.units_used)
-        if hs.fallback_reason is not None:
-            _HS_FALLBACKS.inc()
-        if hs.fit is not None:
-            _ALPHA_HIST.observe(hs.fit.alpha)
-            if not hs.fit.shape_gt2:
-                _NONREGULAR.inc()
+        hs = draw(index, gen)
+        bound = engine.upper_bound
+        if bound is not None and hs.fallback_reason is None:
+            hs = replace(hs, estimate=min(hs.estimate, bound))
         if settle is not None:
             interval, cumulative_units = settle(hs)
-        if _SPANS.enabled:
+        if _SPANS.recording:
             span.set(**_hyper_sample_attributes(hs, interval, cumulative_units))
     return hs, interval
 
@@ -190,7 +166,6 @@ def run_sequential(engine, draw, rng, progress, **run_attributes):
             result.ci_trajectory.append(interval.rel_half_width)
         return interval, result.units_used
 
-    _RUNS_TOTAL.inc()
     with _SPANS.span(
         "estimator.run",
         population=name,
@@ -201,7 +176,7 @@ def run_sequential(engine, draw, rng, progress, **run_attributes):
         min_hyper_samples=engine.min_hyper_samples,
         max_hyper_samples=engine.max_hyper_samples,
         finite_correction=engine.finite_correction,
-    ) as run_span, _RUN_TIMER.time():
+    ) as run_span:
         for k in range(1, engine.max_hyper_samples + 1):
             hs, interval = _instrumented_round(engine, draw, k, gen, settle)
             if progress is not None:
@@ -216,9 +191,6 @@ def run_sequential(engine, draw, rng, progress, **run_attributes):
             units_used=result.units_used,
             rel_half_width=result.rel_half_width,
         )
-    _K_HIST.observe(result.k)
-    if result.converged:
-        _RUNS_CONVERGED.inc()
     return result
 
 

@@ -57,24 +57,26 @@ the rest.  See :mod:`repro.estimation.checkpoint` for the file format.
 
 Observability contract
 ----------------------
-When the parent's :mod:`repro.obs` metrics registry is enabled, each
-worker enables its own registry (reset in the pool initializer so a
-forked child never re-counts inherited parent values), every task ships
-back a snapshot of exactly its own activity, and the parent merges the
-snapshots.  A failed attempt's partial metrics are discarded — in the
-worker before the error crosses the process boundary, and on the
-in-process path by attempt-scoped snapshotting — so counters recorded
-inside ``run_many`` / ``hyper_sample_many`` aggregate identically for
-any worker count *and any retry history*.  The scheduler itself records
-``parallel_retries_total``, ``parallel_task_timeouts_total``,
-``parallel_pool_rebuilds_total``, ``parallel_serial_degradations_total``
-and ``checkpoint_results_total`` (documented in ``docs/robustness.md``).
-Trace recording is parent-process only; the initializer closes any
-inherited sink.
+Every attempt of a task runs as a :class:`repro.obs.Attempt`, which
+holds the spans and metrics recorded under it.  On the in-process path
+a successful attempt commits them and a failed one is dropped; in a
+pool worker a successful attempt is exported with the task's result and
+the parent merges it, while a failed one is dropped before the error
+crosses the process boundary.  So what ``run_many`` /
+``hyper_sample_many`` record aggregates identically for any worker
+count *and any retry history*, and the process-wide registry is never
+reset to get there.  The scheduler's own events are point spans
+(``task_retry``, ``pool_rebuild``, ``parallel_degraded``,
+``checkpoint``) from which the ``parallel_*`` and
+``checkpoint_results_total`` metrics fold; only the timeouts and the
+checkpoint writes, which no span records, keep counters (documented in
+``docs/robustness.md``).  Trace recording is parent-process only; the
+initializer closes any inherited sink.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -87,6 +89,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigError, TaskTimeoutError, WorkerError
+from ..obs.attempt import Attempt, merge_attempt
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from .checkpoint import open_checkpoint
@@ -94,6 +97,7 @@ from .mc_estimator import MaxPowerEstimator
 from .result import EstimationResult, HyperSample
 
 __all__ = [
+    "check_execution_settings",
     "spawn_run_seeds",
     "run_many",
     "hyper_sample_many",
@@ -116,6 +120,13 @@ MAX_POOL_REBUILDS = 3
 
 # Per-process slot for the estimator shipped by the pool initializer.
 _WORKER_ESTIMATOR: Optional[MaxPowerEstimator] = None
+
+_METRICS = get_registry()
+_SPANS = get_span_recorder()
+
+#: Pool workers are forked, so they inherit the parent's recording
+#: switches (metrics and spans on or off).
+_FORK = multiprocessing.get_context("fork")
 
 
 @dataclass(frozen=True)
@@ -180,12 +191,7 @@ def _seed_key(base_seed: SeedLike, num_runs: int) -> str:
 # Worker-process side
 # ----------------------------------------------------------------------
 
-def _init_worker(
-    estimator: MaxPowerEstimator,
-    obs_enabled: bool = False,
-    spans_enabled: bool = False,
-    span_context=None,
-) -> None:
+def _init_worker(estimator: MaxPowerEstimator, span_context) -> None:
     global _WORKER_ESTIMATOR
     # Unpickling the estimator here rebuilds its BitParallelSimulator,
     # which compiles the circuit's struct-of-arrays plan exactly once
@@ -193,28 +199,14 @@ def _init_worker(
     # to this process then reuses that plan through the circuit's memo
     # cache instead of re-freezing the netlist per task.
     _WORKER_ESTIMATOR = estimator
-    # A forked child inherits the parent's registry *values*.  Reset them
-    # so per-task snapshots contain only this worker's activity and
-    # merging never double counts.
-    registry = get_registry()
-    registry.reset()
-    if obs_enabled:
-        registry.enable()
-    else:
-        registry.disable()
-    # Spans follow the same snapshot/merge route as metrics; the parent's
-    # ambient span context (e.g. the service's job.run span) is
-    # re-attached here so worker-side spans graft onto the same tree.
-    # The child also inherits the parent's open JSONL sink: drop it
-    # without writing, since merged spans reach the file via the parent.
-    spans = get_span_recorder()
-    spans.close()
-    spans.reset()
-    if spans_enabled:
-        spans.enable()
-    else:
-        spans.disable()
-    spans.attach(span_context)
+    # A forked worker records as its parent does, and each task's records
+    # travel back in its exported attempt.  The parent's ambient span
+    # context (e.g. the service's job.run span) is re-attached so
+    # worker-side spans graft onto the same tree.  The child also
+    # inherits the parent's open JSONL sink: drop it without writing,
+    # since merged spans reach the file via the parent.
+    _SPANS.close()
+    _SPANS.attach(span_context)
 
 
 def _require_estimator() -> MaxPowerEstimator:
@@ -226,61 +218,31 @@ def _require_estimator() -> MaxPowerEstimator:
     return _WORKER_ESTIMATOR
 
 
-def _task_snapshot():
-    """Observability recorded by the task that just ran (None when off).
-
-    ``reset=True`` keeps worker-side metrics and spans task-scoped:
-    every snapshot shipped back is a disjoint delta, so the parent-side
-    merge is exact regardless of which worker ran which task.  The
-    payload is ``{"metrics": <registry snapshot or None>,
-    "spans": <span records or None>}``.
-    """
-    registry = get_registry()
-    spans = get_span_recorder()
-    metrics = registry.snapshot(reset=True) if registry.enabled else None
-    span_records = spans.snapshot(reset=True) if spans.enabled else None
-    if metrics is None and span_records is None:
-        return None
-    return {"metrics": metrics, "spans": span_records}
-
-
-def _merge_task_snapshot(registry, snapshot) -> None:
-    """Fold one shipped task snapshot into the parent-side registry and
-    span recorder (no-op for ``None``)."""
-    if not snapshot:
-        return
-    if snapshot.get("metrics"):
-        registry.merge(snapshot["metrics"])
-    if snapshot.get("spans"):
-        get_span_recorder().merge(snapshot["spans"])
-
-
 def _guarded(index: int, attempt: int, call: Callable[[], object]):
-    """Run one attempt in a worker: scope its metrics, wrap its errors.
+    """Run one attempt in a worker: scope its records, wrap its errors.
 
-    A failed attempt's partial metrics are discarded here (the retry
-    will re-record them), and the original exception is re-raised as a
+    Returns the result with the exported :class:`~repro.obs.Attempt`.
+    A failed attempt's records are dropped here (the retry will
+    re-record them), and the original exception is re-raised as a
     picklable :class:`~repro.errors.WorkerError` so it always survives
     the trip back through the pool.
     """
     _set_task(index, attempt)
     try:
-        result = call()
+        with Attempt() as scope:
+            result = call()
     except WorkerError:
-        _clear_task()
-        _task_snapshot()  # discard the failed attempt's partial metrics
         raise
     except Exception as exc:
-        _clear_task()
-        _task_snapshot()
         raise WorkerError(
             f"task {index} attempt {attempt}: {type(exc).__name__}: {exc}",
             index=index,
             attempt=attempt,
             cause_type=type(exc).__name__,
         ) from None
-    _clear_task()
-    return result, _task_snapshot()
+    finally:
+        _clear_task()
+    return result, scope.export()
 
 
 def _run_task(task):
@@ -318,14 +280,13 @@ def _handle_failure(
     attempt: int,
     retries: int,
     backoff: float,
-    registry,
     exc: Optional[BaseException] = None,
     timeout: Optional[float] = None,
 ) -> None:
     """Account one failed attempt; sleep the backoff; raise if exhausted."""
     timed_out = timeout is not None
     if timed_out:
-        registry.counter("parallel_task_timeouts_total", kind=kind).inc()
+        _METRICS.counter("parallel_task_timeouts_total", kind=kind).inc()
     if attempt >= retries:
         if timed_out:
             raise TaskTimeoutError(
@@ -342,8 +303,7 @@ def _handle_failure(
             cause_type=getattr(exc, "cause_type", None) or type(exc).__name__,
         ) from exc
     cause = "timeout" if timed_out else "error"
-    registry.counter("parallel_retries_total", kind=kind, cause=cause).inc()
-    get_span_recorder().emit(
+    _SPANS.emit(
         "task_retry",
         kind=kind,
         index=index,
@@ -356,38 +316,6 @@ def _handle_failure(
         time.sleep(delay)
 
 
-def _scoped_attempt(registry, fn: Callable[[], object]):
-    """In-process analogue of the worker-side observability scoping.
-
-    Snapshots the registry around one attempt so that, on failure, only
-    the attempt's own partial metrics are discarded — totals stay exact
-    across retries on the serial path too.  Spans recorded by a failed
-    attempt are dropped by high-water mark instead of snapshot/restore,
-    scoped to the ambient trace so concurrent jobs in other service
-    worker threads are never disturbed.
-    """
-    spans = get_span_recorder()
-    marker = spans.marker() if spans.enabled else None
-    if not registry.enabled and marker is None:
-        return fn()
-    baseline = registry.snapshot(reset=True) if registry.enabled else None
-    try:
-        result = fn()
-    except Exception:
-        if baseline is not None:
-            registry.snapshot(reset=True)  # discard the failed attempt
-            registry.merge(baseline)
-        if marker is not None:
-            ctx = spans.current_context()
-            spans.discard_after(marker, ctx.trace_id if ctx else None)
-        raise
-    if baseline is not None:
-        delta = registry.snapshot(reset=True)
-        registry.merge(baseline)
-        registry.merge(delta)
-    return result
-
-
 def _run_serial(
     local_fn: Callable[[object], object],
     items: Sequence[Tuple[int, object]],
@@ -395,24 +323,25 @@ def _run_serial(
     kind: str,
     retries: int,
     backoff: float,
-    registry,
     on_result: Callable[[int, object], None],
 ) -> None:
-    """In-process execution with the same retry semantics as the pool."""
+    """In-process execution with the same retry semantics as the pool:
+    each attempt is an :class:`~repro.obs.Attempt`, committed when it
+    succeeds and dropped when it fails."""
     for index, payload in items:
         attempt = 0
         while True:
             _set_task(index, attempt)
             try:
-                result = _scoped_attempt(registry, lambda: local_fn(payload))
+                with Attempt() as scope:
+                    result = local_fn(payload)
                 break
             except Exception as exc:
-                _handle_failure(
-                    kind, index, attempt, retries, backoff, registry, exc=exc
-                )
+                _handle_failure(kind, index, attempt, retries, backoff, exc=exc)
                 attempt += 1
             finally:
                 _clear_task()
+        scope.commit()
         on_result(index, result)
 
 
@@ -426,7 +355,6 @@ def _run_pool(
     retries: int,
     task_timeout: Optional[float],
     backoff: float,
-    registry,
     on_result: Callable[[int, object], None],
 ) -> List[Tuple[int, object]]:
     """Future-per-task scheduler with retries, timeouts and pool recovery.
@@ -444,19 +372,15 @@ def _run_pool(
     pool: Optional[ProcessPoolExecutor] = None
 
     def build() -> ProcessPoolExecutor:
-        # The span recorder's enablement and the ambient context (e.g.
-        # the service's job.run span) captured here carry the trace
-        # across the process boundary, including every rebuilt pool.
-        spans = get_span_recorder()
+        # Forked workers inherit the recording switches; the ambient
+        # context (e.g. the service's job.run span) captured here carries
+        # the trace across the process boundary, including every rebuilt
+        # pool.
         return ProcessPoolExecutor(
             max_workers=workers,
+            mp_context=_FORK,
             initializer=_init_worker,
-            initargs=(
-                estimator,
-                registry.enabled,
-                spans.enabled,
-                spans.current_context(),
-            ),
+            initargs=(estimator, _SPANS.current_context()),
         )
 
     def recycle(kill: bool, cause: str) -> None:
@@ -472,10 +396,7 @@ def _run_pool(
                     proc.terminate()
             pool.shutdown(wait=False, cancel_futures=True)
             pool = None
-        registry.counter(
-            "parallel_pool_rebuilds_total", kind=kind, cause=cause
-        ).inc()
-        get_span_recorder().emit("pool_rebuild", kind=kind, cause=cause)
+        _SPANS.emit("pool_rebuild", kind=kind, cause=cause)
 
     def start_clocks() -> None:
         # The ``workers`` oldest unfinished tasks are the running ones.
@@ -520,7 +441,7 @@ def _run_pool(
                 for future in done:
                     index, attempt, payload, _deadline = inflight.pop(future)
                     try:
-                        result, snapshot = future.result()
+                        result, exported = future.result()
                     except BrokenProcessPool:
                         # The victim cannot be attributed: re-submit at
                         # the same attempt, no retry consumed.
@@ -528,12 +449,11 @@ def _run_pool(
                         broken = True
                     except Exception as exc:
                         _handle_failure(
-                            kind, index, attempt, retries, backoff, registry,
-                            exc=exc,
+                            kind, index, attempt, retries, backoff, exc=exc
                         )
                         pending.append((index, attempt + 1, payload))
                     else:
-                        _merge_task_snapshot(registry, snapshot)
+                        merge_attempt(exported)
                         on_result(index, result)
             if broken:
                 rebuilds += 1
@@ -556,8 +476,7 @@ def _run_pool(
             for future in hung:
                 index, attempt, payload, _deadline = inflight.pop(future)
                 _handle_failure(
-                    kind, index, attempt, retries, backoff, registry,
-                    timeout=task_timeout,
+                    kind, index, attempt, retries, backoff, timeout=task_timeout
                 )
                 pending.append((index, attempt + 1, payload))
             recycle(kill=True, cause="timeout")
@@ -586,8 +505,6 @@ def _drive(
     observer: Optional[Callable[[int, object], None]] = None,
 ) -> List[object]:
     """Shared fault-tolerant driver behind ``run_many``/``hyper_sample_many``."""
-    registry = get_registry()
-    spans = get_span_recorder()
     total = len(items)
     results: Dict[int, object] = {}
     writer = None
@@ -601,11 +518,7 @@ def _drive(
             from_dict=from_dict,
         )
         results.update(loaded)
-        if loaded:
-            registry.counter(
-                "checkpoint_results_total", kind=kind, status="loaded"
-            ).inc(len(loaded))
-        spans.emit(
+        _SPANS.emit(
             "checkpoint",
             kind=kind,
             action="resume" if resume else "start",
@@ -623,7 +536,7 @@ def _drive(
         results[index] = result
         if writer is not None:
             writer.write(index, result)
-            registry.counter(
+            _METRICS.counter(
                 "checkpoint_results_total", kind=kind, status="written"
             ).inc()
         if observer is not None:
@@ -634,24 +547,21 @@ def _drive(
         if todo and workers == 1:
             _run_serial(
                 local_fn, todo, kind=kind, retries=retries, backoff=backoff,
-                registry=registry, on_result=on_result,
+                on_result=on_result,
             )
         elif todo:
             remaining = _run_pool(
                 worker_fn, estimator, todo, workers, kind=kind,
                 retries=retries, task_timeout=task_timeout, backoff=backoff,
-                registry=registry, on_result=on_result,
+                on_result=on_result,
             )
             if remaining:
-                registry.counter(
-                    "parallel_serial_degradations_total", kind=kind
-                ).inc()
-                spans.emit(
+                _SPANS.emit(
                     "parallel_degraded", kind=kind, remaining=len(remaining)
                 )
                 _run_serial(
                     local_fn, remaining, kind=kind, retries=retries,
-                    backoff=backoff, registry=registry, on_result=on_result,
+                    backoff=backoff, on_result=on_result,
                 )
     finally:
         if writer is not None:
@@ -665,22 +575,22 @@ def _drive(
     return [results[index] for index, _payload in items]
 
 
-def _check_workers(workers: int) -> None:
+def check_execution_settings(
+    workers: int, retries: int, task_timeout: Optional[float]
+) -> None:
+    """Validate the execution settings the drivers, the
+    :class:`~repro.api.EstimatorConfig` and the experiment config share."""
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-
-
-def _check_fault_options(
-    retries: int,
-    task_timeout: Optional[float],
-    backoff: float,
-    checkpoint: Optional[Union[str, Path]],
-    resume: bool,
-) -> None:
     if retries < 0:
         raise ConfigError("retries must be >= 0")
     if task_timeout is not None and task_timeout <= 0:
         raise ConfigError("task_timeout must be positive (or None)")
+
+
+def _check_fault_options(
+    backoff: float, checkpoint: Optional[Union[str, Path]], resume: bool
+) -> None:
     if backoff < 0:
         raise ConfigError("backoff must be >= 0")
     if resume and checkpoint is None:
@@ -728,8 +638,8 @@ def run_many(
         and cancellation.  Purely observational: it never touches the
         RNG streams, so results are unchanged by its presence.
     """
-    _check_workers(workers)
-    _check_fault_options(retries, task_timeout, backoff, checkpoint, resume)
+    check_execution_settings(workers, retries, task_timeout)
+    _check_fault_options(backoff, checkpoint, resume)
     seeds = spawn_run_seeds(base_seed, num_runs)
     if (
         workers == 1
@@ -780,8 +690,8 @@ def hyper_sample_many(
     (whose fault-tolerance parameters — and ``on_result`` progress hook
     — apply unchanged here).
     """
-    _check_workers(workers)
-    _check_fault_options(retries, task_timeout, backoff, checkpoint, resume)
+    check_execution_settings(workers, retries, task_timeout)
+    _check_fault_options(backoff, checkpoint, resume)
     seeds = spawn_run_seeds(base_seed, count)
     items = [(i, (i + 1, seeds[i])) for i in range(count)]
     if (

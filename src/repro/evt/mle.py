@@ -39,17 +39,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import EstimationError, FitError
-from ..obs.metrics import get_registry
 from ..obs.spans import get_span_recorder
 from .brent import brentq, minimize_scalar_bounded
 from .distributions import GeneralizedWeibull
 
 __all__ = ["WeibullFit", "fit_weibull_mle", "fit_weibull_mle_scipy", "fisher_covariance"]
 
-_METRICS = get_registry()
 _SPANS = get_span_recorder()
-_FIT_TIMER = _METRICS.timer("mle_fit_seconds")
-_FITS_TOTAL = _METRICS.counter("mle_fits_total")
 
 
 @dataclass(frozen=True)
@@ -318,17 +314,13 @@ def fit_weibull_mle(
         On degenerate samples or a failed inner solve.
     """
     with _SPANS.span("mle.fit", m=len(x)) as span:
-        with _FIT_TIMER.time():
-            try:
-                fit, diag = _fit_weibull_mle_impl(
-                    x, mu_span, grid_points, min_offset_frac
-                )
-            except FitError as exc:
-                _METRICS.counter("mle_fit_errors_total", cause=exc.cause).inc()
-                span.set(cause=exc.cause)
-                raise
-        _FITS_TOTAL.inc()
-        _METRICS.counter("mle_refine_total", path=diag["refine"]).inc()
+        try:
+            fit, diag = _fit_weibull_mle_impl(
+                x, mu_span, grid_points, min_offset_frac
+            )
+        except FitError as exc:
+            span.set(cause=exc.cause)
+            raise
         span.set(
             alpha=fit.alpha,
             beta=fit.beta,

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from ..errors import ConfigError
+from ..estimation.parallel import check_execution_settings
 
 __all__ = ["ExperimentConfig", "default_config", "PAPER_CIRCUITS"]
 
@@ -107,12 +108,7 @@ class ExperimentConfig:
             raise ConfigError("population sizes must be >= 100")
         if self.num_runs < 1:
             raise ConfigError("num_runs must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigError("task_timeout must be positive (or None)")
+        check_execution_settings(self.workers, self.retries, self.task_timeout)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Functional update (frozen dataclass)."""

@@ -47,12 +47,11 @@ _PIPELINE_VERSION = "build-v2"
 
 _MEMORY_CACHE: Dict[Tuple, FinitePopulation] = {}
 
+# An on-disk cache lookup is a ``population_cache`` span (a hit's
+# covers the load); the ``population_cache_*`` metrics fold from it.
 _METRICS = get_registry()
 _SPANS = get_span_recorder()
-_CACHE_HITS = _METRICS.counter("population_cache_hits_total")
-_CACHE_MISSES = _METRICS.counter("population_cache_misses_total")
 _MEMCACHE_HITS = _METRICS.counter("population_memcache_hits_total")
-_CACHE_LOAD_TIMER = _METRICS.timer("population_cache_load_seconds")
 
 
 def population_seed(config: ExperimentConfig, circuit: str, kind: str) -> int:
@@ -115,11 +114,8 @@ def build_population(
     )
     path = _cache_path(config, circuit_name, kind, size)
     if path.exists():
-        _CACHE_HITS.inc()
-        _SPANS.emit("population_cache", hit=True, path=str(path))
-        with _CACHE_LOAD_TIMER.time():
+        with _SPANS.span("population_cache", hit=True, path=str(path)):
             return FinitePopulation.load(path)
-    _CACHE_MISSES.inc()
     _SPANS.emit("population_cache", hit=False, path=str(path))
 
     circuit = build_circuit(circuit_name)

@@ -56,6 +56,9 @@ EXPERIMENTS: Dict[str, Callable[[Optional[ExperimentConfig]], ExperimentTable]] 
     "extension_pot": run_extension_pot,
 }
 
+# A resumed experiment is a ``checkpoint`` span and a run an
+# ``experiment.run`` span; checkpoint writes and stale checkpoints
+# record no span, so they keep a counter.
 _METRICS = get_registry()
 _SPANS = get_span_recorder()
 
@@ -139,9 +142,10 @@ def run_experiment(
 ) -> ExperimentTable:
     """Run one registered experiment by id.
 
-    The experiment's wall-clock is recorded in the
-    ``experiment_seconds{experiment=<name>}`` timer and stored in the
-    returned table's ``data["wall_time_s"]``.
+    The experiment runs under an ``experiment.run`` span (the
+    ``experiment_seconds{experiment=<name>}`` timer folds from it), and
+    its wall-clock is stored in the returned table's
+    ``data["wall_time_s"]``.
 
     With ``checkpoint_dir`` set, the completed table is persisted there;
     with ``resume=True`` as well, a matching existing checkpoint is
@@ -164,9 +168,6 @@ def run_experiment(
                 _checkpoint_path(checkpoint_dir, name), name, key
             )
             if table is not None:
-                _METRICS.counter(
-                    "experiment_checkpoints_total", status="loaded"
-                ).inc()
                 _SPANS.emit(
                     "checkpoint", kind="experiment", action="resume", name=name
                 )
@@ -176,7 +177,6 @@ def run_experiment(
         table = runner(config)
         elapsed = time.perf_counter() - start
         span.set(seconds=elapsed, rows=len(table.rows))
-    _METRICS.timer("experiment_seconds", experiment=name).observe(elapsed)
     table.data.setdefault("wall_time_s", elapsed)
     if checkpoint_dir is not None:
         _write_experiment_checkpoint(

@@ -1,17 +1,24 @@
 """``repro.obs`` — observability for the estimation pipeline.
 
-Three zero-dependency layers (stdlib only; nothing here imports numpy
-or scipy):
+Zero-dependency layers (stdlib only; nothing here imports numpy or
+scipy):
 
-* :mod:`repro.obs.metrics` — process-wide registry of counters, gauges,
-  timers and fixed-bucket histograms, with thread-safe recording and
-  snapshot/merge aggregation across the ``run_many`` process pools;
 * :mod:`repro.obs.spans` — hierarchical spans with W3C trace-context
   propagation, following one job across HTTP, queue, worker-thread and
-  pool-process boundaries.  Spans are the one event record: their
-  attributes carry what each phase computed (one
-  ``estimator.hyper_sample`` span per Figure 4 iteration is the core
-  signal), and an open JSONL sink streams them to a file;
+  process boundaries.  Spans are the one event record, and the only way
+  code records what it did: their attributes carry what each phase
+  computed (one ``estimator.hyper_sample`` span per Figure 4 iteration
+  is the core signal), and an open JSONL sink streams them to a file;
+* :mod:`repro.obs.fold` — the one table that folds each finished span
+  into the metrics registry (``mle_fits_total`` counts ``mle.fit``
+  spans), so a metric never restates a span by hand;
+* :mod:`repro.obs.metrics` — the process-wide registry of counters,
+  gauges, timers and fixed-bucket histograms; besides the folds, a few
+  handles record quantities no span carries (the simulation kernel's
+  per-block counters, the service's lease and memo counters);
+* :mod:`repro.obs.attempt` — :class:`Attempt`, one unit of work (a
+  ``run_many`` task, a served job) whose spans and metrics are
+  committed, shipped to a parent process, or dropped as a whole;
 * :mod:`repro.obs.export` — Prometheus text exposition and the human
   convergence-diagnostics report.
 
@@ -23,13 +30,14 @@ environment variable, or programmatically::
 
     from repro.obs import get_registry, get_span_recorder
 
-    get_registry().enable()
-    get_span_recorder().open("run.jsonl")  # enables spans
+    get_registry().enable()                # spans are folded into it
+    get_span_recorder().open("run.jsonl")  # also keeps and writes them
     ...
     get_span_recorder().close()
     snapshot = get_registry().snapshot()
 """
 
+from .attempt import Attempt, merge_attempt
 from .export import (
     convergence_report,
     load_metrics_file,
@@ -38,6 +46,7 @@ from .export import (
     render_prometheus,
     write_metrics_file,
 )
+from .fold import FOLDS, fold_spans
 from .metrics import (
     DEFAULT_ALPHA_BUCKETS,
     DEFAULT_K_BUCKETS,
@@ -61,6 +70,10 @@ from .spans import (
 )
 
 __all__ = [
+    "Attempt",
+    "merge_attempt",
+    "FOLDS",
+    "fold_spans",
     "Counter",
     "Gauge",
     "Timer",

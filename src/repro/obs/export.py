@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import ConfigError
 from ..schemas import SCHEMA_VERSION, check_schema_version
+from .fold import span_number
 
 __all__ = [
     "render_prometheus",
@@ -85,6 +86,9 @@ _HELP: Dict[str, str] = {
     "mle_fit_errors_total": "Profile-MLE fits that raised FitError",
     "mle_refine_total": "MLE grid refinement outcomes by path",
     "mle_fit_seconds": "Wall-clock time of profile-MLE fits",
+    "adaptive_runs_total": "Auto-method decisions, by the estimator family chosen",
+    "adaptive_pilot_units_total": "Vector pairs the auto method's pilot and cross-validation drew",
+    "adaptive_chosen_n": "Block size n chosen by the auto method's pilot",
     "population_build_seconds": "Wall-clock time to build a finite population",
     "population_build_chunk_seconds": "Wall-clock time per simulated population chunk",
     "population_pairs_built_total": "Vector pairs simulated into populations",
@@ -98,6 +102,7 @@ _HELP: Dict[str, str] = {
     "sim_plan_cache_hits_total": "Compiled-plan cache hits",
     "sim_batch_eval_total": "Batched gate-level evaluations",
     "sim_steps_total": "Simulated vector-pair steps",
+    "sim_active_levels": "Distinct circuit levels active per numpy-loop unit-delay step",
     "parallel_retries_total": "Task retries after crashes, hangs or worker loss",
     "parallel_task_timeouts_total": "Tasks that exceeded their deadline",
     "parallel_pool_rebuilds_total": "Process-pool kill/rebuild cycles",
@@ -117,6 +122,10 @@ _HELP: Dict[str, str] = {
     "service_oldest_lease_age_seconds": "Age of the oldest active job lease",
     "service_busy_workers": "Worker processes currently executing a job",
     "service_worker_saturation": "Busy fraction of the worker pool (0..1)",
+    "service_queue_limit": "Configured admission bound on queued jobs",
+    "service_lease_reclaims": "Expired job leases reclaimed back to the queue",
+    "service_lease_renewals_total": "Heartbeat lease renewals, by outcome (ok or lost)",
+    "service_admission_rejections_total": "Submissions rejected with 429, by reason",
 }
 
 _KIND_NOUN = {
@@ -310,15 +319,6 @@ def _pct(num: float, den: float) -> str:
     return f"{num / den:.1%}" if den else "n/a"
 
 
-def _num(value) -> Optional[float]:
-    """Undo the span JSON encoding of non-finite floats."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(value)
-    return float(value)
-
-
 def _metrics_section(snapshot: dict) -> List[str]:
     lines = ["== metrics =="]
     runs = _counter_value(snapshot, "estimator_runs_total")
@@ -413,7 +413,7 @@ def _trace_section(spans: Sequence[dict]) -> List[str]:
     if hypers:
         attrs = [s["attributes"] for s in hypers]
         fallbacks = [a for a in attrs if a.get("fallback_reason")]
-        alphas = [_num(a.get("alpha")) for a in attrs if a.get("alpha") is not None]
+        alphas = [span_number(a["alpha"]) for a in attrs if a.get("alpha") is not None]
         alphas = [a for a in alphas if a is not None and math.isfinite(a)]
         lines.append(
             f"hyper-samples: {len(hypers)}, fallbacks: {len(fallbacks)}"
@@ -437,7 +437,7 @@ def _trace_section(spans: Sequence[dict]) -> List[str]:
             continue
         widths = []
         for a in sorted(run_attrs, key=lambda a: a.get("k", 0)):
-            w = _num(a.get("rel_half_width"))
+            w = span_number(a.get("rel_half_width"))
             widths.append("--" if w is None or not math.isfinite(w) else f"{w:.3f}")
         trajectory = " ".join(widths[:12]) + (" ..." if len(widths) > 12 else "")
         lines.append(f"  run-{number}: rel CI half-width by k: {trajectory}")

@@ -1,7 +1,9 @@
 """Zero-dependency metrics registry (counters, gauges, timers, histograms).
 
-The estimation pipeline is instrumented with module-level metric handles
-obtained from the process-wide registry (:func:`get_registry`).  The
+Most metrics are folded into the process-wide registry
+(:func:`get_registry`) from finished spans (:mod:`repro.obs.fold`);
+module-level handles record only what no span carries, such as the
+simulation kernel's per-block counters.  The
 registry is **disabled by default**: every record call first checks a
 single shared flag and returns immediately, so an instrumented-but-idle
 pipeline pays one attribute load + one branch per call site — measured
@@ -14,11 +16,11 @@ Concurrency model
 *Threads* share one registry guarded by a re-entrant lock (the
 population builder records chunk timings from a thread pool).
 
-*Processes* do not share memory: the :mod:`repro.estimation.parallel`
-pool initializer resets and enables the child registry, each task
-returns a :meth:`MetricsRegistry.snapshot` of its activity (with
-``reset=True`` so nothing is double counted), and the parent
-:meth:`MetricsRegistry.merge`\\ s the snapshots back in.  Snapshots are
+*Attempts* (:class:`repro.obs.attempt.Attempt`) scope a unit of work:
+while one is current, a handle of the process-wide registry records
+into the attempt's own registry, which is later committed, shipped to
+another process as a :meth:`MetricsRegistry.snapshot` and
+:meth:`MetricsRegistry.merge`\\ d there, or dropped.  Snapshots are
 plain JSON-able dicts, so they also serve as the on-disk metrics format.
 
 Metric identity is ``(kind, name, labels)`` — Prometheus-style, e.g.
@@ -32,6 +34,7 @@ import math
 import os
 import threading
 import time
+from contextvars import ContextVar
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError
@@ -58,6 +61,9 @@ DEFAULT_K_BUCKETS: Tuple[float, ...] = (2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
+#: The :class:`repro.obs.attempt.Attempt` this context records into.
+_ATTEMPT: "ContextVar[Optional[object]]" = ContextVar("repro_attempt", default=None)
+
 
 def _label_items(labels: Dict[str, str]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -77,6 +83,15 @@ class _Metric:
     def enabled(self) -> bool:
         return self._registry._enabled
 
+    def _target(self) -> "_Metric":
+        """The series a record goes to: this one, or — for a handle of
+        the process-wide registry inside an attempt — the attempt's."""
+        attempt = _ATTEMPT.get()
+        if attempt is None or self._registry is not _GLOBAL_REGISTRY:
+            return self
+        kwargs = {"bounds": self.bounds} if self.kind == "histogram" else {}
+        return attempt.registry._get(self.kind, self.name, dict(self.labels), **kwargs)
+
 
 class Counter(_Metric):
     """Monotonically increasing count (events, units, errors)."""
@@ -90,8 +105,9 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         if not self._registry._enabled:
             return
-        with self._registry._lock:
-            self._value += amount
+        target = self._target()
+        with target._registry._lock:
+            target._value += amount
 
     @property
     def value(self) -> float:
@@ -119,8 +135,9 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         if not self._registry._enabled:
             return
-        with self._registry._lock:
-            self._value = float(value)
+        target = self._target()
+        with target._registry._lock:
+            target._value = float(value)
 
     @property
     def value(self) -> float:
@@ -192,13 +209,14 @@ class Timer(_Metric):
     def observe(self, seconds: float) -> None:
         if not self._registry._enabled:
             return
-        with self._registry._lock:
-            self._count += 1
-            self._total += seconds
-            if seconds < self._min:
-                self._min = seconds
-            if seconds > self._max:
-                self._max = seconds
+        target = self._target()
+        with target._registry._lock:
+            target._count += 1
+            target._total += seconds
+            if seconds < target._min:
+                target._min = seconds
+            if seconds > target._max:
+                target._max = seconds
 
     @property
     def count(self) -> int:
@@ -272,11 +290,12 @@ class Histogram(_Metric):
         if math.isnan(value):
             return
         idx = bisect.bisect_left(self.bounds, value)
-        with self._registry._lock:
-            self._counts[idx] += 1
-            self._count += 1
+        target = self._target()
+        with target._registry._lock:
+            target._counts[idx] += 1
+            target._count += 1
             if math.isfinite(value):
-                self._sum += value
+                target._sum += value
 
     @property
     def count(self) -> int:
@@ -434,7 +453,8 @@ _GLOBAL_REGISTRY = MetricsRegistry()
 
 def _fresh_lock_after_fork() -> None:
     # A child forked while another thread held the lock would inherit it
-    # held for good; whoever forks it resets the values it inherited.
+    # held for good.  (The values it inherits are never shipped back: a
+    # child's work runs in attempts.)
     _GLOBAL_REGISTRY._lock = threading.RLock()
 
 

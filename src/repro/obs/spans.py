@@ -1,9 +1,9 @@
 """Hierarchical spans: the pipeline's one event record.
 
-The metrics registry answers "how much, in aggregate".  Spans answer
-"what happened, in order, and where did the time go" by arranging timed
-phases, with their attributes, into a tree that crosses every process
-boundary the pipeline has:
+Spans answer "what happened, in order, and where did the time go" by
+arranging timed phases, with their attributes, into a tree that crosses
+every process boundary the pipeline has; the metrics registry's "how
+much, in aggregate" is folded from them (:mod:`repro.obs.fold`):
 
     http.request            (server thread, parented on the client's
       job.queue_wait         traceparent header)
@@ -28,20 +28,20 @@ format that ``repro report --metrics FILE`` reads back.
 
 Design contract (same as the rest of :mod:`repro.obs`):
 
-* **Disabled by default, single flag check.**  Every public entry point
-  returns a shared null object after one attribute test; uninstrumented
-  and instrumented-but-disabled code paths are indistinguishable at the
-  2% level asserted by ``benchmarks/bench_obs_overhead.py``.
+* **Disabled by default, two flag checks.**  Spans are created while
+  spans or metrics are on (with metrics alone, a finished span is only
+  folded); otherwise every public entry point returns a shared null
+  object, so uninstrumented and instrumented-but-disabled code paths
+  are indistinguishable at the 2% level asserted by
+  ``benchmarks/bench_obs_overhead.py``.
 * **Bit-identical outputs.**  Span/trace IDs come from :func:`uuid.uuid4`
   and timing from ``time.perf_counter`` — the numpy RNG streams that
   drive the estimator are never touched, so enabling spans cannot change
   a single estimate.
-* **Snapshot/merge.**  Pool worker processes record spans locally and
-  ship them back with each task result exactly like metric deltas;
-  failed attempts are discarded and retried attempts re-record, so the
-  final tree reflects the attempts that produced the results.  Merged
-  spans reach the JSONL sink like local ones; a worker never writes to
-  the sink it inherited.
+* **Attempts.**  Inside an :class:`~repro.obs.attempt.Attempt` a
+  finished span waits for the attempt to be committed, shipped to the
+  parent process (which writes it) or dropped; a worker never writes
+  to the sink it inherited.
 
 Context propagation uses a :class:`contextvars.ContextVar`, which is
 per-thread by default — each service worker thread attaches its job's
@@ -60,6 +60,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
+
+from .fold import fold_span
+from .metrics import _ATTEMPT, get_registry
 
 __all__ = [
     "SpanContext",
@@ -254,6 +257,7 @@ class SpanRecorder:
         max_spans_per_trace: int = DEFAULT_MAX_SPANS_PER_TRACE,
     ):
         self._enabled = bool(enabled)
+        self._registry = get_registry()
         self._max_traces = int(max_traces)
         self._max_spans = int(max_spans_per_trace)
         self._lock = threading.Lock()
@@ -274,6 +278,11 @@ class SpanRecorder:
 
     def disable(self) -> None:
         self._enabled = False
+
+    @property
+    def recording(self) -> bool:
+        """Whether spans are created: spans or metrics are on."""
+        return self._enabled or self._registry._enabled
 
     def reset(self) -> None:
         """Drop all buffered spans (enablement and sink unchanged)."""
@@ -322,12 +331,12 @@ class SpanRecorder:
 
     # -- recording ------------------------------------------------------
     def start(self, name: str, /, parent: Optional[SpanContext] = None, **attributes: Any) -> Optional[Span]:
-        """Open a span (``None`` when disabled).
+        """Open a span (``None`` while neither spans nor metrics are on).
 
         The new span parents on ``parent`` when given, else on the
         ambient context; it becomes the ambient context until finished.
         """
-        if not self._enabled:
+        if not self._enabled and not self._registry._enabled:
             return None
         ctx = parent if parent is not None else self._current.get()
         if ctx is not None:
@@ -339,7 +348,7 @@ class SpanRecorder:
         return span
 
     def finish(self, span: Optional[Span], status: str = "ok", **attributes: Any) -> None:
-        """Close a span, restore the ambient context, buffer the record."""
+        """Close a span, restore the ambient context, record it."""
         if span is None:
             return
         duration = time.perf_counter() - span._start_mono
@@ -363,7 +372,7 @@ class SpanRecorder:
     def span(self, name: str, /, **attributes: Any):
         """``with recorder.span("phase") as s:`` — starts on entry,
         finishes on exit (status ``error`` if the body raised)."""
-        if not self._enabled:
+        if not self._enabled and not self._registry._enabled:
             return _NULL_SPAN
         return _ActiveSpan(self, name, attributes)
 
@@ -383,7 +392,7 @@ class SpanRecorder:
         wait, reconstructed from ``created_at``/``started_at`` once a
         worker claims it.  Does not touch the ambient context.
         """
-        if not self._enabled:
+        if not self._enabled and not self._registry._enabled:
             return None
         ctx = parent if parent is not None else self._current.get()
         if ctx is not None:
@@ -404,6 +413,19 @@ class SpanRecorder:
         return record
 
     def _record(self, record: dict) -> None:
+        """Fold a finished span into the metrics and keep it, in the
+        current attempt if there is one."""
+        attempt = _ATTEMPT.get() if self is _GLOBAL_SPANS else None
+        if self._registry._enabled:
+            fold_span(record, attempt.registry if attempt else self._registry)
+        if not self._enabled:
+            return
+        if attempt is None:
+            self._store(record)
+        else:
+            attempt.add_spans([record])
+
+    def _store(self, record: dict) -> None:
         line = None
         if self._sink is not None:
             line = (json.dumps(record, separators=(",", ":")) + "\n").encode()
@@ -436,8 +458,8 @@ class SpanRecorder:
         return [self._public(r) for r in records]
 
     def snapshot(self, reset: bool = False) -> List[dict]:
-        """All buffered spans as a flat list (for shipping to a parent
-        process); ``reset=True`` clears the buffer atomically."""
+        """All buffered spans as a flat list, in completion order;
+        ``reset=True`` clears the buffer atomically."""
         with self._lock:
             records = [r for spans in self._traces.values() for r in spans]
             records.sort(key=lambda r: r["_seq"])
@@ -446,7 +468,8 @@ class SpanRecorder:
         return [self._public(r) for r in records]
 
     def merge(self, spans: Optional[Iterable[dict]]) -> None:
-        """Fold spans shipped from another process into the buffer.
+        """Add spans recorded elsewhere (another process, an attempt) to
+        the buffer and the sink, unfolded: their metrics travel apart.
 
         Works while disabled (the aggregating parent may have recorded
         nothing itself), mirroring ``MetricsRegistry.merge``.
@@ -454,31 +477,7 @@ class SpanRecorder:
         if not spans:
             return
         for record in spans:
-            self._record(dict(record))
-
-    # -- failed-attempt discard -----------------------------------------
-    def marker(self) -> int:
-        """An opaque high-water mark for :meth:`discard_after`."""
-        with self._lock:
-            return self._seq
-
-    def discard_after(self, marker: int, trace_id: Optional[str] = None) -> int:
-        """Drop spans recorded after ``marker`` (optionally only those of
-        one trace) — the failed-attempt counterpart of the metrics
-        baseline/restore dance.  Returns the number discarded."""
-        dropped = 0
-        with self._lock:
-            for tid in list(self._traces):
-                if trace_id is not None and tid != trace_id:
-                    continue
-                spans = self._traces[tid]
-                kept = [r for r in spans if r["_seq"] <= marker]
-                dropped += len(spans) - len(kept)
-                if kept:
-                    self._traces[tid] = kept
-                else:
-                    del self._traces[tid]
-        return dropped
+            self._store(dict(record))
 
 
 _GLOBAL_SPANS = SpanRecorder()
@@ -486,7 +485,8 @@ _GLOBAL_SPANS = SpanRecorder()
 
 def _fresh_lock_after_fork() -> None:
     # A child forked while another thread held the lock would inherit it
-    # held for good; whoever forks it resets the spans it inherited.
+    # held for good.  (The spans it inherits are never shipped back: a
+    # child's work runs in attempts.)
     _GLOBAL_SPANS._lock = threading.Lock()
 
 

@@ -62,10 +62,6 @@ MAX_BODY_BYTES = 1 << 20
 #: a client cycling random keys must not inflate server memory.
 MAX_RATE_BUCKETS = 1024
 
-#: Latency buckets for ``service_http_request_seconds`` — sub-ms static
-#: endpoints up through multi-second synchronous submits.
-_HTTP_BUCKETS = (0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 30.0)
-
 #: Gauges recomputed from live server state on every ``/metrics`` scrape
 #: (any stale registry-resident series with these names is dropped first).
 _SCRAPE_GAUGES = frozenset(
@@ -165,20 +161,17 @@ class _Handler(BaseHTTPRequestHandler):
         segments = [s for s in parsed.path.split("/") if s]
         endpoint = _endpoint_label(segments)
         spans = get_span_recorder()
-        request_span = None
-        if spans.enabled:
-            # W3C trace-context: a traceparent header joins the caller's
-            # trace; its absence (or a malformed value) starts a new one.
-            context = parse_traceparent(self.headers.get("traceparent"))
-            request_span = spans.start(
-                "http.request",
-                parent=context,
-                method=method,
-                path=parsed.path,
-                endpoint=endpoint,
-            )
+        # W3C trace-context: a traceparent header joins the caller's
+        # trace; its absence (or a malformed value) starts a new one.
+        # The service_http_* metrics fold from this span.
+        request_span = spans.start(
+            "http.request",
+            parent=parse_traceparent(self.headers.get("traceparent")),
+            method=method,
+            path=parsed.path,
+            endpoint=endpoint,
+        )
         self._status = 0
-        started = time.perf_counter()
         try:
             try:
                 self._route(app, method, segments, parse_qs(parsed.query))
@@ -209,25 +202,11 @@ class _Handler(BaseHTTPRequestHandler):
                     },
                 )
         finally:
-            elapsed = time.perf_counter() - started
-            registry = get_registry()
-            registry.histogram(
-                "service_http_request_seconds",
-                _HTTP_BUCKETS,
-                endpoint=endpoint,
-                method=method,
-            ).observe(elapsed)
-            registry.counter(
-                "service_http_responses_total",
-                endpoint=endpoint,
-                status=str(self._status),
-            ).inc()
-            if request_span is not None:
-                spans.finish(
-                    request_span,
-                    status="error" if self._status >= 500 else "ok",
-                    http_status=self._status,
-                )
+            spans.finish(
+                request_span,
+                status="error" if self._status >= 500 else "ok",
+                http_status=self._status,
+            )
 
     # -- routing --------------------------------------------------------
     def _route(self, app: "JobServer", method: str, segments, query) -> None:

@@ -28,12 +28,14 @@ state — the claim, the lease, the settle, SSE progress and
   and the scheduler's seed contract keeps the final result list
   bit-identical to an uninterrupted execution.
 
-The last message of a job carries its results — or its exception's
-type name and message, so a job fails with the same ``"{type}:
-{message}"`` error either way — and the process's metrics and spans
-(:func:`~repro.estimation.parallel._task_snapshot`).  The thread merges
-them before it settles the job, so ``/metrics`` and the job's trace
-hold the worker-side activity from the moment the job settles.
+A job runs in its process as one :class:`~repro.obs.Attempt`.  The
+last message of a job carries its results — or its exception's type
+name and message, so a job fails with the same ``"{type}: {message}"``
+error either way — and the exported attempt, on every outcome, so a
+failed job's spans still reach its trace.  The thread merges it
+(:func:`~repro.obs.merge_attempt`) before it settles the job, so
+``/metrics`` and the job's trace hold the worker-side activity from the
+moment the job settles.
 
 When the store's leases expire (a ``lease_ttl`` is set, the default),
 the pool also runs one *lease keeper* thread: it
@@ -81,22 +83,18 @@ import numpy as np
 from ..api import build_population, run_many
 from ..errors import JobCancelledError, WorkerError
 from ..estimation.adaptive import build_estimator
-from ..estimation.parallel import (
-    _init_worker,
-    _merge_task_snapshot,
-    _task_snapshot,
-)
-from ..obs.metrics import get_registry
-from ..obs.spans import get_span_recorder
+from ..obs import Attempt, get_registry, get_span_recorder, merge_attempt
 from ..sim.native import load_backend
 from .jobs import Job
 from .store import SQLiteJobStore
 
 __all__ = ["WorkerPool"]
 
+# A job's execution is a ``job.run`` span (``service_job_seconds`` and
+# ``service_jobs_finished_total`` fold from it); the population cache and
+# lease renewals record no span, so they keep counters.
 _METRICS = get_registry()
 _SPANS = get_span_recorder()
-_JOB_TIMER = _METRICS.timer("service_job_seconds")
 
 #: Populations kept per worker process; a handful covers a benchmark sweep.
 _POPULATION_CACHE_SIZE = 8
@@ -202,17 +200,19 @@ def _run_job(conn, populations, spec, checkpoint) -> List[object]:
     )
 
 
-def _worker_main(conn, inherited, obs_enabled: bool, spans_enabled: bool) -> None:
+def _worker_main(conn, inherited) -> None:
     """A worker process: run the jobs its thread sends until the pipe
-    closes.  Each job's span context arrives with it; its metrics and
-    spans go back with its outcome."""
+    closes.  Each job's span context arrives with it; the job runs as an
+    attempt, which goes back with its outcome."""
     # Ctrl-C reaches the whole process group; shutting down is the
     # server's call, and it ends its workers with SIGTERM.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     for handle in inherited:
         handle.close()
-    _init_worker(None, obs_enabled, spans_enabled)
+    # The fork kept the server's recording switches; drop its trace
+    # sink without writing, since the server writes the spans it merges.
+    _SPANS.close()
     populations: "OrderedDict[tuple, object]" = OrderedDict()
     while True:
         try:
@@ -223,16 +223,16 @@ def _worker_main(conn, inherited, obs_enabled: bool, spans_enabled: bool) -> Non
             continue  # sent after the job's last progress message
         spec, checkpoint, context = request
         token = _SPANS.attach(context)
+        with Attempt() as attempt:
+            try:
+                results = _run_job(conn, populations, spec, checkpoint)
+            except Exception as exc:  # noqa: BLE001 — reported to the thread
+                outcome = ("failed", type(exc).__name__, str(exc))
+            else:
+                outcome = ("done", results)
+        _SPANS.detach(token)
         try:
-            results = _run_job(conn, populations, spec, checkpoint)
-        except Exception as exc:  # noqa: BLE001 — reported to the thread
-            outcome = ("failed", type(exc).__name__, str(exc), _task_snapshot())
-        else:
-            outcome = ("done", results, _task_snapshot())
-        finally:
-            _SPANS.detach(token)
-        try:
-            conn.send(outcome)
+            conn.send(outcome + (attempt.export(),))
         except OSError:
             return
 
@@ -358,7 +358,7 @@ class WorkerPool:
             inherited.append(self._listener)
         process = _FORK.Process(
             target=_worker_main,
-            args=(theirs, inherited, _METRICS.enabled, _SPANS.enabled),
+            args=(theirs, inherited),
             name=f"repro-worker-{index}",
         )
         process.start()
@@ -403,36 +403,32 @@ class WorkerPool:
         # Re-attach the trace context the job carried through the queue so
         # the job's spans nest under its trace even though a different
         # thread than the HTTP handler claims it.
-        tracing = _SPANS.enabled and job.trace_id is not None
-        context = job.trace_context if tracing else None
-        token = _SPANS.attach(context) if tracing else None
-        run_span = None
-        if tracing:
-            if job.started_at is not None:
-                _SPANS.emit(
-                    "job.queue_wait",
-                    parent=context,
-                    start_ts=job.created_at,
-                    duration_s=max(0.0, job.started_at - job.created_at),
-                    job_id=job.id,
-                )
-                _SPANS.emit(
-                    "job.claim",
-                    parent=context,
-                    start_ts=job.started_at,
-                    job_id=job.id,
-                    lease_owner=job.lease_owner,
-                )
-            run_span = _SPANS.start(
-                "job.run",
+        context = job.trace_context
+        token = _SPANS.attach(context)
+        if context is not None and job.started_at is not None:
+            _SPANS.emit(
+                "job.queue_wait",
+                parent=context,
+                start_ts=job.created_at,
+                duration_s=max(0.0, job.started_at - job.created_at),
                 job_id=job.id,
-                circuit=job.spec.circuit,
-                num_runs=job.spec.num_runs,
             )
+            _SPANS.emit(
+                "job.claim",
+                parent=context,
+                start_ts=job.started_at,
+                job_id=job.id,
+                lease_owner=job.lease_owner,
+            )
+        run_span = _SPANS.start(
+            "job.run",
+            job_id=job.id,
+            circuit=job.spec.circuit,
+            num_runs=job.spec.num_runs,
+        )
         try:
             try:
-                with _JOB_TIMER.time():
-                    results = self._run(job, lease)
+                results = self._run(job, lease)
             except _PoolStopped:
                 pass
             except JobCancelledError:
@@ -465,8 +461,7 @@ class WorkerPool:
                     lambda j: self.store.mark_completed(j, results, lease=lease),
                 )
         finally:
-            if token is not None:
-                _SPANS.detach(token)
+            _SPANS.detach(token)
             with self._busy_lock:
                 self._busy -= 1
                 self._active.pop(active_key, None)
@@ -480,8 +475,8 @@ class WorkerPool:
         An attempt whose lease was lost mid-run (expired and reclaimed
         by the reaper — this attempt no longer owns the job) is never
         committed: the store's token CAS would reject the write anyway,
-        the re-run owns the lifecycle now, and the abandoned attempt is
-        counted as ``state="lease_lost"``.
+        the re-run owns the lifecycle now, and the abandoned attempt's
+        ``job.run`` span ends with ``state="lease_lost"``.
         """
         if not lease.lost:
             with _SPANS.span("job.commit", job_id=job.id, state=state):
@@ -500,7 +495,6 @@ class WorkerPool:
                 status="error" if state == "failed" else "ok",
                 **attrs,
             )
-        _METRICS.counter("service_jobs_finished_total", state=state).inc()
         if _SPANS.enabled and job.trace_id is not None:
             records = _SPANS.spans_for_trace(job.trace_id)
             if records:
@@ -509,7 +503,7 @@ class WorkerPool:
     def _run(self, job: Job, lease) -> List[object]:
         """Run ``job`` on this thread's worker process: take in its
         progress, tell it to stop once the job is cancelled or the lease
-        is lost, and merge its metrics and spans when it ends."""
+        is lost, and merge its exported attempt when it ends."""
         index = self._local.index
         worker = self._workers[index]
         if worker is not None and not worker.process.is_alive():
@@ -543,14 +537,14 @@ class WorkerPool:
                     else:
                         job.completed_runs += 1
                     continue
-                _merge_task_snapshot(_METRICS, message[-1])
+                merge_attempt(message[-1])
                 if kind == "done" and not stopping:
                     if job.spec.num_runs == 1:
                         job.completed_runs = 1
                     return message[1]
                 if stopping or message[1] == JobCancelledError.__name__:
                     raise JobCancelledError(f"job {job.id} cancelled")
-                _kind, type_name, text, _snapshot = message
+                _kind, type_name, text, _exported = message
                 raise _JobFailed(f"{type_name}: {text}")
         except (EOFError, OSError):
             if not self._replace(index, worker):

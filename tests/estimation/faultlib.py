@@ -48,6 +48,9 @@ class FaultyEstimator:
         When set, increment this counter *before* any injection — lets
         tests prove that a failed attempt's partial metrics are discarded
         (the final total must count successful attempts only).
+    after_run:
+        Inject after the inner ``run`` instead of before it, so a failed
+        attempt has already recorded a whole run.
     """
 
     def __init__(
@@ -60,6 +63,7 @@ class FaultyEstimator:
         hard: bool = False,
         max_attempt: Optional[int] = 0,
         count_metric: Optional[str] = None,
+        after_run: bool = False,
     ):
         self.inner = inner
         self.crash_indices = frozenset(crash_indices)
@@ -68,6 +72,7 @@ class FaultyEstimator:
         self.hard = hard
         self.max_attempt = max_attempt
         self.count_metric = count_metric
+        self.after_run = after_run
         self.parent_pid = os.getpid()
 
     def _inject(self) -> None:
@@ -91,8 +96,12 @@ class FaultyEstimator:
             )
 
     def run(self, rng):
-        self._inject()
-        return self.inner.run(rng)
+        if not self.after_run:
+            self._inject()
+        result = self.inner.run(rng)
+        if self.after_run:
+            self._inject()
+        return result
 
     def hyper_sample(self, index, rng):
         self._inject()

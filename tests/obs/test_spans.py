@@ -173,19 +173,6 @@ class TestRecorder:
         assert [r["name"] for r in merged] == ["a"]
         assert "_seq" not in merged[0]
 
-    def test_marker_discard_scoped_to_trace(self, recorder):
-        with recorder.span("kept"):
-            pass
-        kept_trace = recorder.snapshot()[0]["trace_id"]
-        marker = recorder.marker()
-        # New spans on two traces: only the targeted one is dropped.
-        recorder.emit("doomed", parent=SpanContext(trace_id="f" * 32))
-        recorder.emit("other", parent=SpanContext(trace_id="e" * 32))
-        assert recorder.discard_after(marker, trace_id="f" * 32) == 1
-        names = {r["name"] for r in recorder.snapshot()}
-        assert names == {"kept", "other"}
-        assert recorder.spans_for_trace(kept_trace)
-
     def test_lru_eviction_of_traces(self):
         r = SpanRecorder(max_traces=2)
         r.enable()

@@ -26,7 +26,8 @@ from repro.obs.metrics import get_registry
 from repro.service import Client
 from repro.service.jobs import JobSpec, JobState
 
-_SAMPLE = re.compile(r"^([A-Za-z_:][\w:]*)(\{[^}]*\})?\s+(\S+)$")
+# Label values are quoted and may hold braces (endpoint="/v1/jobs/{id}").
+_SAMPLE = re.compile(r'^([A-Za-z_:][\w:]*)(\{(?:[^"}]|"[^"]*")*\})?\s+(\S+)$')
 _LABEL = re.compile(r'(\w+)="([^"]*)"')
 
 #: Metric names and label keys ``/metrics`` exposes after a served
@@ -313,6 +314,25 @@ class TestWhatCrossesBack:
                      "estimator.hyper_sample", "mle.fit"):
             assert name in below
 
+    def test_a_cancelled_jobs_worker_spans_reach_its_trace(
+        self, service, bench_path
+    ):
+        # A served job is one attempt, shipped back on every outcome.
+        _server, client = service
+        job = client.submit(endless_spec(bench_path))
+        wait_for(lambda: client.status(job["id"])["trajectory"], timeout=30)
+        client.cancel(job["id"])
+        assert client.wait(job["id"], timeout=30)["state"] == "cancelled"
+        spans = client.trace(job["id"])["spans"]
+        by_name = {}
+        for span in spans:
+            by_name.setdefault(span["name"], []).append(span)
+        (run,) = by_name["estimator.run"]
+        assert run["status"] == "error"
+        assert by_name["estimator.hyper_sample"]
+        (job_run,) = by_name["job.run"]
+        assert job_run["attributes"]["state"] == "cancelled"
+
     def test_served_methods_equal_in_process_estimate(self, service, bench_path):
         _server, client = service
         for method, quantile in (("fixed", None), ("auto", None), ("pot", 0.9)):
@@ -354,7 +374,7 @@ class TestWhatCrossesBack:
                         seed=seed, population_size=quick_spec.population_size)
             )
             assert client.wait(job["id"], timeout=30)["state"] == "completed"
-        client.submit(
+        multi = client.submit(
             JobSpec(circuit=str(bench_path),
                     config=EstimatorConfig(max_hyper_samples=8),
                     seed=9, num_runs=20, population_size=400)
@@ -370,6 +390,10 @@ class TestWhatCrossesBack:
                     if name == "repro_service_http_responses_total"
                 },
             )
+
+        def status_gets(text):
+            return sample(text, "repro_service_http_request_seconds_count",
+                          endpoint="/v1/jobs/{id}", method="GET")
 
         scrapes = 0
         last_completed, last_responses = read(client.metrics())
@@ -389,3 +413,10 @@ class TestWhatCrossesBack:
         # Every earlier scrape was answered and counted, exactly once.
         assert last_responses[("/metrics", "200")] == scrapes - 1
         assert last_responses[("/v1/jobs", "201")] == 4
+        # The per-job series are read too: a status request after the
+        # wait is counted under its route template.
+        assert client.wait(multi["id"], timeout=30)["state"] == "completed"
+        client.status(multi["id"])
+        text = client.metrics()
+        assert status_gets(text) > 0
+        assert read(text)[1][("/v1/jobs/{id}", "200")] == status_gets(text)
