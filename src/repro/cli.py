@@ -51,22 +51,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .api import _load_circuit
 from .errors import ConfigError, ReproError
-from .netlist.bench import load_bench
-from .netlist.circuit import Circuit
-from .netlist.generators import ISCAS85_PROFILES, available_circuits, build_circuit
-from .netlist.verilog import load_verilog
+from .netlist.generators import ISCAS85_PROFILES, available_circuits
 
 __all__ = ["main", "build_parser"]
-
-
-def _load_circuit(spec: str) -> Circuit:
-    path = Path(spec)
-    if path.suffix == ".bench" and path.exists():
-        return load_bench(path)
-    if path.suffix in (".v", ".verilog") and path.exists():
-        return load_verilog(path)
-    return build_circuit(spec)
 
 
 def _add_method_flags(parser: argparse.ArgumentParser) -> None:

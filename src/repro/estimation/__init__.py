@@ -1,7 +1,6 @@
 """Estimators: the paper's method, its baselines, and extensions."""
 
 from .adaptive import AdaptiveMaxPowerEstimator, build_estimator
-from .average_power import AveragePowerEstimator, AveragePowerResult
 from .bounds import UncertaintyBound
 from .delay_estimator import MaxDelayEstimator
 from .finite_population import finite_population_estimate, finite_population_quantile
@@ -26,8 +25,6 @@ __all__ = [
     "PeaksOverThresholdEstimator",
     "BlockSizeTuner",
     "TunerReport",
-    "AveragePowerEstimator",
-    "AveragePowerResult",
     "EstimationResult",
     "HyperSample",
     "finite_population_estimate",

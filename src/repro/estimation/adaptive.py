@@ -326,7 +326,8 @@ def build_estimator(population: PowerPopulation, config):
     ``"auto"`` → this module's adaptive controller.  Every returned
     engine satisfies the same contract — ``run(rng, progress=None)``
     returning an :class:`~repro.estimation.result.EstimationResult`,
-    picklable for the parallel drivers, bit-deterministic in the rng.
+    bit-deterministic in the rng.  The parallel drivers' forked workers
+    inherit the engine, so it need not be picklable.
     """
     method = getattr(config, "method", "fixed")
     if method == "fixed":

@@ -15,13 +15,12 @@ generator from scratch, so a serial run (``workers=1``), a parallel run,
 a run that crashed and retried, and a checkpoint-resumed run all produce
 *bit-for-bit identical* estimates for the same ``base_seed``.
 
-Worker processes receive the estimator once via the pool initializer
-(not once per task), so the population arrays are pickled exactly once
-per worker.  This requires the estimator — in particular its population
-— to be picklable: :class:`~repro.vectors.population.FinitePopulation`
-always is; a :class:`~repro.vectors.population.StreamingPopulation`
-built from module-level callables is, but one closed over local lambdas
-is not (use ``workers=1`` there).
+Worker processes are forked and get the estimator through the pool
+initializer, so each worker inherits it, population arrays included,
+and nothing pickles it.  The estimator need not be picklable: a
+:class:`~repro.vectors.population.StreamingPopulation` closed over
+local lambdas runs in parallel as well.  Each task (its index,
+attempt and seeds) and its result are still pickled.
 
 Fault tolerance
 ---------------
@@ -118,7 +117,7 @@ _BACKOFF_CAP_S = 5.0
 #: Broken-pool recoveries tolerated before degrading to serial execution.
 MAX_POOL_REBUILDS = 3
 
-# Per-process slot for the estimator shipped by the pool initializer.
+# Per-process slot for the estimator, set by the pool initializer.
 _WORKER_ESTIMATOR: Optional[MaxPowerEstimator] = None
 
 _METRICS = get_registry()
@@ -193,11 +192,10 @@ def _seed_key(base_seed: SeedLike, num_runs: int) -> str:
 
 def _init_worker(estimator: MaxPowerEstimator, span_context) -> None:
     global _WORKER_ESTIMATOR
-    # Unpickling the estimator here rebuilds its BitParallelSimulator,
-    # which compiles the circuit's struct-of-arrays plan exactly once
-    # per worker process; every task dispatched
-    # to this process then reuses that plan through the circuit's memo
-    # cache instead of re-freezing the netlist per task.
+    # The forked worker inherits the estimator, not a pickled copy: its
+    # BitParallelSimulator comes with the circuit's compiled plan, so
+    # every task dispatched to this process reuses that plan instead of
+    # re-freezing the netlist.
     _WORKER_ESTIMATOR = estimator
     # A forked worker records as its parent does, and each task's records
     # travel back in its exported attempt.  The parent's ambient span

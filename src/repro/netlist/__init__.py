@@ -16,7 +16,6 @@ from .circuit import Circuit, CircuitStats, Gate
 from .equivalence import EquivalenceResult, check_equivalence
 from .gates import GateType, eval_gate, eval_gate_words, gate_from_name
 from .library import CellLibrary, CellParams, default_library
-from .sequential import SequentialCircuit, parse_sequential_bench
 from .transforms import (
     buffer_high_fanout,
     decompose_to_two_input,
@@ -54,6 +53,4 @@ __all__ = [
     "propagate_constants",
     "sweep_dangling",
     "buffer_high_fanout",
-    "SequentialCircuit",
-    "parse_sequential_bench",
 ]

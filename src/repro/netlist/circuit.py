@@ -248,9 +248,8 @@ class Circuit:
 
     def __getstate__(self) -> Dict[str, object]:
         # Derived views (and memoized plans) can be large and are cheap
-        # to rebuild; ship only the structural state.  A worker process
-        # unpickling a circuit therefore recompiles caches once, not
-        # per task.
+        # to rebuild; ship only the structural state.  An unpickled
+        # circuit rebuilds each cache once, on first use.
         state = self.__dict__.copy()
         state["_cache"] = {}
         return state

@@ -17,7 +17,6 @@ from .delay import DelayModel, LibraryDelay, UnitDelay, ZeroDelay
 from .event_sim import EventDrivenSimulator, PairSimResult
 from .power import PowerAnalyzer, PowerBreakdown, SIM_MODES
 from .sta import StaticTimingAnalyzer, TimingReport
-from .faults import CoverageReport, Fault, FaultSimulator
 from .vcd import VcdData, dump_vcd, parse_vcd, write_vcd
 
 __all__ = [
@@ -43,7 +42,4 @@ __all__ = [
     "dump_vcd",
     "parse_vcd",
     "VcdData",
-    "Fault",
-    "FaultSimulator",
-    "CoverageReport",
 ]

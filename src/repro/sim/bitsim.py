@@ -113,9 +113,9 @@ class BitParallelSimulator:
         self._plan = compile_plan(circuit)
 
     def __getstate__(self) -> Dict[str, object]:
-        # The plan is derived data: ship only the circuit.  Unpickling
-        # re-freezes once — so a process-pool worker compiles the plan
-        # once per process (in the initializer), never per task.
+        # The plan is derived data: ship only the circuit, and re-freeze
+        # it once on unpickling.  Pool workers are forked, so they
+        # inherit the simulator with its plan and never unpickle one.
         return {"circuit": self.circuit}
 
     def __setstate__(self, state: Dict[str, object]) -> None:

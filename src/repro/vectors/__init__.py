@@ -15,11 +15,6 @@ from .generators import (
     transition_prob_vector_pairs,
 )
 from .population import FinitePopulation, PowerPopulation, StreamingPopulation
-from .sequences import (
-    markov_vector_sequence,
-    sequence_activity,
-    sequence_to_pairs,
-)
 
 __all__ = [
     "pair_activity",
@@ -35,7 +30,4 @@ __all__ = [
     "PowerPopulation",
     "FinitePopulation",
     "StreamingPopulation",
-    "markov_vector_sequence",
-    "sequence_to_pairs",
-    "sequence_activity",
 ]

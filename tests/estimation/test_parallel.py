@@ -1,5 +1,7 @@
 """Parallel estimation drivers: seed contract and worker independence."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.estimation.parallel import (
     spawn_run_seeds,
 )
 from repro.evt.distributions import GeneralizedWeibull
-from repro.vectors.population import FinitePopulation
+from repro.vectors.population import FinitePopulation, StreamingPopulation
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +81,27 @@ class TestRunMany:
         a = run_many(estimator, 3, base_seed=1, workers=1)
         b = run_many(estimator, 3, base_seed=2, workers=1)
         assert [r.estimate for r in a] != [r.estimate for r in b]
+
+    def test_workers_inherit_an_unpicklable_estimator(self):
+        # Pool workers are forked, so they inherit the estimator rather
+        # than unpickle it: a population closed over local lambdas cannot
+        # be pickled, yet runs in parallel with the serial estimates.
+        dist = GeneralizedWeibull.from_scale(alpha=4.0, scale=0.3, mu=1.0)
+        pop = StreamingPopulation(
+            lambda n, rng: (rng.random(n), rng.random(n)),
+            lambda v1, v2: dist.ppf(v1),
+            name="local-lambdas",
+        )
+        est = MaxPowerEstimator(pop, error=0.05, confidence=0.90)
+        # Pythons before 3.14 raise AttributeError for a local object.
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(est)
+        serial = run_many(est, 3, base_seed=5, workers=1)
+        parallel = run_many(est, 3, base_seed=5, workers=2)
+        assert [r.estimate for r in parallel] == [r.estimate for r in serial]
+        assert [r.units_used for r in parallel] == [
+            r.units_used for r in serial
+        ]
 
     def test_validation(self, estimator):
         with pytest.raises(ConfigError):
