@@ -871,7 +871,7 @@ def _cmd_delay(args: argparse.Namespace) -> int:
     )
     result = estimator.run(rng=args.seed)
     static = estimator.static_bound()
-    print(result.summary().replace("P_max", "D_max"))
+    print(result.summary(quantity="D_max", unit="ps"))
     print(
         f"static timing bound: {static:.1f} ps "
         f"(estimate/STA = {result.estimate / static:.2f})"

@@ -203,8 +203,8 @@ class EstimationResult:
             )
         return (self.estimate - actual_max) / actual_max
 
-    def summary(self) -> str:
-        """One-line human-readable summary."""
+    def summary(self, quantity: str = "P_max", unit: str = "W") -> str:
+        """One-line human-readable summary of the estimated maximum."""
         status = "converged" if self.converged else "NOT converged"
         ci = (
             f" CI=[{self.interval.low:.4g}, {self.interval.high:.4g}]"
@@ -212,7 +212,7 @@ class EstimationResult:
             else ""
         )
         return (
-            f"{self.population_name}: P_max≈{self.estimate:.4g} W{ci} "
+            f"{self.population_name}: {quantity}≈{self.estimate:.4g} {unit}{ci} "
             f"({status}, k={self.k}, units={self.units_used}, "
             f"ε={self.error_bound:.0%} @ l={self.confidence:.0%})"
         )

@@ -14,6 +14,14 @@ the log-likelihood over ``μ`` on ``(max(x), max(x) + span·range]``
 the small ``m`` (≈10) the paper uses — exactly where naive 3-D
 optimization and curve fitting get unstable (§3.1).
 
+The refinement root-finds the profile derivative when it changes sign
+around the best grid offset.  When it does not and that offset is an
+end of the grid, the profile still rises toward the search limit
+(``α̂ → ∞`` as ``μ̂`` runs off at the top, ``α̂ < 1`` at the bottom),
+and the fit is that exactly evaluated grid point, whose likelihood no
+other grid offset beats.  A bounded minimizer on the end cell could
+only creep toward the same end, at no higher likelihood.
+
 The coarse grid is valued in one vectorised pass (:func:`_grid_profile`)
 whose values only choose candidates: every offset near the best value,
 and every offset the pass cannot vouch for, is re-evaluated exactly on
@@ -264,7 +272,9 @@ def _grid_profile(mus: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 
 def _profile_dll(
-    mu: float, x: np.ndarray
+    mu: float,
+    x: np.ndarray,
+    profile: Optional[Tuple[float, float, float]] = None,
 ) -> Tuple[float, Tuple[float, float, float]]:
     """Derivative of the profile log-likelihood with respect to mu.
 
@@ -274,12 +284,15 @@ def _profile_dll(
     ``dll/dμ = (α−1) Σ 1/y_i − (α/λ) Σ (y_i/λ)^(α−1)``, ``y = μ − x``.
 
     Returns ``(dll, profile)``, where ``profile`` is the
-    ``(loglik, alpha, scale)`` of :func:`_profile_loglik` at ``mu``.
+    ``(loglik, alpha, scale)`` of :func:`_profile_loglik` at ``mu``;
+    a ``profile`` passed in (one the caller already evaluated at
+    ``mu``) is used instead of solving it again.
     Root-finding on this derivative localizes the profile optimum to
     ~machine precision, where a scalar *minimizer* on the likelihood
     itself can only reach ~sqrt(eps).
     """
-    profile = _profile_loglik(mu, x)
+    if profile is None:
+        profile = _profile_loglik(mu, x)
     _, a, scale = profile
     y = mu - x
     dll = (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
@@ -345,8 +358,10 @@ def _fit_weibull_mle_impl(
     ``mle.fit`` span records: profile evaluations on the coarse
     grid (and how many were finite), the refinement bracket around the
     best offset, and which refinement path ran (``"root"`` when the
-    profile derivative bracketed a sign change, ``"minimize"`` for the
-    bounded-minimizer fallback, ``"none"`` when the bracket collapsed).
+    profile derivative bracketed a sign change, ``"edge"`` when it did
+    not and the best offset is the first or last of the grid, which is
+    then the fit, ``"minimize"`` for the bounded-minimizer fallback at
+    an interior offset, ``"none"`` when the bracket collapsed).
     """
     x = _validate_sample(x)
     top = float(x.max())
@@ -366,17 +381,22 @@ def _fit_weibull_mle_impl(
     ]
     lls = np.concatenate([p[0] for p in passes])
     err = np.concatenate([p[1] for p in passes])
-    exact = {}
+    exact = set()
+    # (ll, a, scale) at every offset the scalar path valued without
+    # failing: the grid's exact rows, then the refinement's.  Both
+    # solvers return one of those offsets.
+    profiles = {}
     todo = np.flatnonzero(np.isinf(err))
     while True:
         for i in todo:
             off = offsets[i]
             try:
-                ll, a, scale = _profile_loglik(top + off, x)
+                profiles[off] = _profile_loglik(top + off, x)
+                lls[i] = profiles[off][0]
             except (FitError, FloatingPointError, OverflowError):
-                ll, a, scale = -np.inf, math.nan, math.nan
-            lls[i], err[i] = ll, 0.0
-            exact[i] = (ll, top + off, a, scale)
+                lls[i] = -np.inf
+            err[i] = 0.0
+            exact.add(i)
         # Suspect rows are exact now, and a scalar value is finite or
         # -inf, so lls holds no NaN.  A row left approximate falls short
         # of the best value by more than its error bound.
@@ -385,30 +405,35 @@ def _fit_weibull_mle_impl(
         if not todo:
             break
     best_idx = int(np.argmax(lls))
-    best = exact[best_idx]
-    if not math.isfinite(best[0]):
+    if not math.isfinite(lls[best_idx]):
         raise FitError(
             "profile likelihood evaluation failed everywhere",
             cause="profile-failed",
         )
+    ll, a, scale = profiles[offsets[best_idx]]
+    best = (ll, top + offsets[best_idx], a, scale)
 
     # Refine around the best grid offset.  When the bracket straddles a
     # sign change of the profile derivative, locate the stationary point
     # by root-finding: that pins μ̂ to ~machine precision, whereas a
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  The bounded minimize remains as a fallback for
-    # boundary optima and clamped inner solves.
+    # order there).  Without that sign change, a best offset at an end
+    # of the grid is the fit ("edge"): the profile rises toward the
+    # search limit there (α̂ → ∞ at the top end, α̂ < 1 at the bottom),
+    # so a minimizer on the end cell only creeps toward that end, to a
+    # point of no higher likelihood (which the 1e-9 tolerance below let
+    # in).  The grid point's likelihood is the best the grid found.
+    # The bounded minimize remains as the fallback for interior optima
+    # whose derivative test fails (clamped inner solves).
+    last = offsets.size - 1
     lo_off = offsets[max(best_idx - 1, 0)]
-    hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
+    hi_off = offsets[min(best_idx + 1, last)]
     refined: Optional[float] = None
     refine_path = "none"
-    # (ll, a, scale) at every offset the refinement evaluates; both
-    # solvers return one of those offsets.
-    profiles = {}
 
     def dll_at(off: float) -> float:
-        dll, profiles[off] = _profile_dll(top + off, x)
+        dll, profiles[off] = _profile_dll(top + off, x, profiles.get(off))
         return dll
 
     def neg_ll_at(off: float) -> float:
@@ -426,6 +451,8 @@ def _fit_weibull_mle_impl(
             refined = brentq(
                 dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
             )
+        elif best_idx in (0, last):
+            refine_path = "edge"
         else:
             refine_path = "minimize"
             off, _, success = minimize_scalar_bounded(

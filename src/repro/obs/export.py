@@ -360,6 +360,12 @@ def _metrics_section(snapshot: dict) -> List[str]:
             f"{_pct(le2, fits)} at alpha <= 2 "
             "(Smith-regularity boundary)"
         )
+    refine = _counter_by_label(snapshot, "mle_refine_total", "path")
+    if refine:
+        paths = ", ".join(
+            f"{path} {count:.0f}" for path, count in sorted(refine.items())
+        )
+        lines.append(f"mle refinement: {paths}")
     fit_errors = _counter_by_label(snapshot, "mle_fit_errors_total", "cause")
     if fit_errors:
         causes = ", ".join(

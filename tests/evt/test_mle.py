@@ -140,10 +140,13 @@ class TestFisherCovariance:
 # Identity of the vectorised coarse grid with the scalar scan it replaced.
 #
 # The reference below is the scalar fitter as it stood before the grid
-# was vectorised, kept verbatim (only the names carry a ``_ref`` prefix):
+# was vectorised, kept verbatim (only the names carry a ``_ref`` prefix)
+# apart from the edge rule of the refinement, which it takes too:
 # shape solver, profile likelihood and derivative, the per-offset grid
 # loop and the refinement.  The production fitter must return the same
 # fit, the same diagnostics and the same FitError cause, bit for bit.
+# With ``edge=False`` the reference runs the bounded minimizer at the
+# grid ends too, as the fitter did before that rule (TestEdgeOptima).
 
 
 def _ref_weibull_shape_equation(a: float, y: np.ndarray, mean_ln: float) -> float:
@@ -207,6 +210,7 @@ def _reference_fit(
     mu_span: float,
     grid_points: int,
     min_offset_frac: float,
+    edge: bool = True,
 ) -> Tuple[WeibullFit, dict]:
     x = _validate_sample(x)
     top = float(x.max())
@@ -235,8 +239,9 @@ def _reference_fit(
     # by root-finding: that pins μ̂ to ~machine precision, whereas a
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  The bounded minimize remains as a fallback for
-    # boundary optima and clamped inner solves.
+    # order there).  Otherwise a best offset at a grid end is the fit
+    # ("edge"); the bounded minimize remains as a fallback for interior
+    # optima (and, with ``edge=False``, boundary ones).
     best_idx = int(np.argmax(lls))
     lo_off = offsets[max(best_idx - 1, 0)]
     hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
@@ -258,6 +263,8 @@ def _reference_fit(
                     xtol=1e-13 * spread,
                 )
             )
+        elif edge and best_idx in (0, offsets.size - 1):
+            refine_path = "edge"
         else:
             refine_path = "minimize"
             result = optimize.minimize_scalar(
@@ -391,6 +398,90 @@ class TestVectorisedGridIdentity:
     )
     def test_matches_scalar_reference_on_edge_samples(self, x):
         _assert_matches_reference(x, (10.0, 80, 1e-4), x.tolist())
+
+
+def _grid_offsets(x, settings):
+    mu_span, grid_points, min_offset_frac = settings
+    spread = float(np.ptp(x))
+    return np.geomspace(min_offset_frac * spread, mu_span * spread, grid_points)
+
+
+class TestEdgeOptima:
+    """A profile that peaks at an end of the μ grid, with no sign change
+    of its derivative there, keeps that grid point as the fit."""
+
+    @staticmethod
+    def _normal_maxima(seed):
+        # Block maxima of normal units, like the estimator's (γ ≈ 0).
+        return np.random.default_rng(seed).normal(size=(10, 30)).max(axis=1)
+
+    def test_top_end_is_the_search_limit(self):
+        x = self._normal_maxima(0)
+        fit, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
+        offsets = _grid_offsets(x, (10.0, 80, 1e-4))
+        assert diag["refine"] == "edge"
+        assert not diag["refine_accepted"]
+        assert fit.mu == x.max() + offsets[-1]
+        assert diag["bracket_hi"] == offsets[-1]
+        assert fit.alpha > 2.0
+
+    def test_bottom_end_heavy_lower_tail(self):
+        x = self._normal_maxima(16)
+        fit, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
+        offsets = _grid_offsets(x, (10.0, 80, 1e-4))
+        assert diag["refine"] == "edge"
+        assert fit.mu == x.max() + offsets[0]
+        assert diag["bracket_lo"] == offsets[0]
+        assert fit.alpha < 1.0
+
+    def test_root_path_still_runs_at_a_grid_end(self):
+        x, settings = _identity_case(1159)
+        assert settings == (10.0, 80, 1e-4)
+        _, diag = mle._fit_weibull_mle_impl(x, *settings)
+        assert diag["refine"] == "root"
+        assert diag["bracket_hi"] == _grid_offsets(x, settings)[-1]
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_only_grid_end_minimizer_fits_move(self, chunk):
+        """Against the refinement before the rule, on the identity
+        samples: a fit changes only where that one ran the minimizer on
+        an end cell of the grid, and its log-likelihood never falls.
+
+        Only the edge fits need the old reference: on every other sample
+        ``_reference_fit`` takes the same branch with ``edge`` on or off,
+        and TestVectorisedGridIdentity holds the fitter to it."""
+        grid_keys = ("m", "grid_points", "grid_finite", "bracket_lo", "bracket_hi")
+        edge_fits = 0
+        with np.errstate(all="ignore"):
+            for seed in range(1000 * chunk, 1000 * (chunk + 1)):
+                x, settings = _identity_case(seed)
+                new = _outcome(mle._fit_weibull_mle_impl, x, settings)
+                if new[0] != "fit" or new[2]["refine"] != "edge":
+                    continue
+                edge_fits += 1
+                context = (seed, x.tolist(), settings)
+                old = _outcome(
+                    lambda *a: _reference_fit(*a, edge=False), x, settings
+                )
+                if old[0] == "raised":  # as in _assert_matches_reference
+                    continue
+                assert old[0] == "fit", context
+                (_, fit, diag), (_, old_fit, old_diag) = new, old
+                assert old_diag["refine"] == "minimize", context
+                assert [diag[k] for k in grid_keys] == [
+                    old_diag[k] for k in grid_keys
+                ], context
+                # An end cell: the bracket spans one grid step, not two.
+                offsets = _grid_offsets(x, settings)
+                top = float(x.max())
+                assert (diag["bracket_lo"], diag["bracket_hi"], fit.mu) in (
+                    (offsets[0], offsets[1], top + offsets[0]),
+                    (offsets[-2], offsets[-1], top + offsets[-1]),
+                ), context
+                assert not diag["refine_accepted"], context
+                assert fit.loglik >= old_fit.loglik, context
+                assert fit.mu == pytest.approx(old_fit.mu, rel=1e-7), context
+        assert edge_fits > 300
 
 
 class TestZeroOffset:

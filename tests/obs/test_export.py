@@ -21,6 +21,8 @@ def snapshot():
     reg.counter("estimator_hyper_samples_total").inc(20)
     reg.counter("estimator_units_total").inc(6000)
     reg.counter("mle_fit_errors_total", cause="degenerate").inc(2)
+    reg.counter("mle_refine_total", path="root").inc(4)
+    reg.counter("mle_refine_total", path="edge").inc(15)
     reg.gauge("population_size").set(8000)
     t = reg.timer("estimator_run_seconds")
     t.observe(0.25)
@@ -191,6 +193,7 @@ class TestConvergenceReport:
         assert "hyper-samples: 20" in report
         assert "alpha-hat:" in report
         assert "degenerate: 2" in report
+        assert "mle refinement: edge 15, root 4" in report
         assert "wall-clock by phase:" in report
 
     def test_trace_section(self):

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -214,7 +216,8 @@ class TestCommands:
             ["delay", "c432", "--n", "10", "--m", "5", "--max-rounds", "4"]
         ) == 0
         out = capsys.readouterr().out
-        assert "D_max" in out
+        assert re.search(r"c432-delay: D_max≈[\d.]+ ps CI=", out), out
+        assert " W" not in out
         assert "static timing bound" in out
 
     def test_wave_command_random(self, tmp_path, capsys, c17):
