@@ -15,12 +15,13 @@ the small ``m`` (≈10) the paper uses — exactly where naive 3-D
 optimization and curve fitting get unstable (§3.1).
 
 The refinement root-finds the profile derivative when it changes sign
-around the best grid offset.  When it does not and that offset is an
-end of the grid, the profile still rises toward the search limit
-(``α̂ → ∞`` as ``μ̂`` runs off at the top, ``α̂ < 1`` at the bottom),
-and the fit is that exactly evaluated grid point, whose likelihood no
-other grid offset beats.  A bounded minimizer on the end cell could
-only creep toward the same end, at no higher likelihood.
+around the best grid offset.  When it does not, that offset is an end
+of the grid, and the derivative there points out of the grid (the
+profile still rises toward the search limit: ``α̂ → ∞`` as ``μ̂`` runs
+off at the top, ``α̂ < 1`` at the bottom), the fit is that exactly
+evaluated grid point, whose likelihood no other grid offset beats.  A
+bounded minimizer on that end cell would only creep toward the same
+end.
 
 The coarse grid is valued in one vectorised pass (:func:`_grid_profile`)
 whose values only choose candidates: every offset near the best value,
@@ -359,9 +360,10 @@ def _fit_weibull_mle_impl(
     grid (and how many were finite), the refinement bracket around the
     best offset, and which refinement path ran (``"root"`` when the
     profile derivative bracketed a sign change, ``"edge"`` when it did
-    not and the best offset is the first or last of the grid, which is
-    then the fit, ``"minimize"`` for the bounded-minimizer fallback at
-    an interior offset, ``"none"`` when the bracket collapsed).
+    not, the best offset is the first or last of the grid and the
+    derivative there points out of the grid, which makes that offset
+    the fit, ``"minimize"`` for the bounded-minimizer fallback
+    otherwise, ``"none"`` when the bracket collapsed).
     """
     x = _validate_sample(x)
     top = float(x.max())
@@ -419,13 +421,15 @@ def _fit_weibull_mle_impl(
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
     # order there).  Without that sign change, a best offset at an end
-    # of the grid is the fit ("edge"): the profile rises toward the
-    # search limit there (α̂ → ∞ at the top end, α̂ < 1 at the bottom),
-    # so a minimizer on the end cell only creeps toward that end, to a
-    # point of no higher likelihood (which the 1e-9 tolerance below let
-    # in).  The grid point's likelihood is the best the grid found.
-    # The bounded minimize remains as the fallback for interior optima
-    # whose derivative test fails (clamped inner solves).
+    # of the grid whose derivative points out of the grid (d ≥ 0 at the
+    # last offset, d ≤ 0 at the first) is the fit ("edge"): the profile
+    # rises toward the search limit there (α̂ → ∞ at the top end, α̂ < 1
+    # at the bottom), so a minimizer on the end cell only creeps toward
+    # that end (to a point the 1e-9 tolerance below would let in).
+    # With a NaN derivative, or one that turns down inside the end
+    # cell, the grid point need not be the cell's best: those, and
+    # interior optima whose derivative test fails (clamped inner solves
+    # or a coarse grid), keep the bounded minimize.
     last = offsets.size - 1
     lo_off = offsets[max(best_idx - 1, 0)]
     hi_off = offsets[min(best_idx + 1, last)]
@@ -451,7 +455,7 @@ def _fit_weibull_mle_impl(
             refined = brentq(
                 dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
             )
-        elif best_idx in (0, last):
+        elif (best_idx == last and d_hi >= 0.0) or (best_idx == 0 and d_lo <= 0.0):
             refine_path = "edge"
         else:
             refine_path = "minimize"

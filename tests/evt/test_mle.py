@@ -239,9 +239,10 @@ def _reference_fit(
     # by root-finding: that pins μ̂ to ~machine precision, whereas a
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  Otherwise a best offset at a grid end is the fit
-    # ("edge"); the bounded minimize remains as a fallback for interior
-    # optima (and, with ``edge=False``, boundary ones).
+    # order there).  Otherwise a best offset at a grid end whose
+    # derivative points out of the grid is the fit ("edge"); the bounded
+    # minimize remains as the fallback for the rest (and, with
+    # ``edge=False``, for those too).
     best_idx = int(np.argmax(lls))
     lo_off = offsets[max(best_idx - 1, 0)]
     hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
@@ -263,7 +264,10 @@ def _reference_fit(
                     xtol=1e-13 * spread,
                 )
             )
-        elif edge and best_idx in (0, offsets.size - 1):
+        elif edge and (
+            (best_idx == offsets.size - 1 and d_hi >= 0.0)
+            or (best_idx == 0 and d_lo <= 0.0)
+        ):
             refine_path = "edge"
         else:
             refine_path = "minimize"
@@ -433,6 +437,22 @@ class TestEdgeOptima:
         assert fit.mu == x.max() + offsets[0]
         assert diag["bracket_lo"] == offsets[0]
         assert fit.alpha < 1.0
+
+    @pytest.mark.parametrize("slope", [math.nan, -1.0])
+    def test_end_needs_an_outward_derivative(self, monkeypatch, slope):
+        """The end point is the fit only while the profile rises toward
+        the search limit: with a NaN derivative, or one that turns down
+        inside the end cell, the bounded minimizer searches that cell."""
+        x = self._normal_maxima(0)
+        profile_dll = mle._profile_dll
+
+        def dll(mu, x, profile=None):
+            return slope, profile_dll(mu, x, profile)[1]
+
+        monkeypatch.setattr(mle, "_profile_dll", dll)
+        _, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
+        assert diag["refine"] == "minimize"
+        assert diag["bracket_hi"] == _grid_offsets(x, (10.0, 80, 1e-4))[-1]
 
     def test_root_path_still_runs_at_a_grid_end(self):
         x, settings = _identity_case(1159)
