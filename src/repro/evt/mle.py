@@ -16,23 +16,29 @@ optimization and curve fitting get unstable (§3.1).
 
 The refinement root-finds the profile derivative when it changes sign
 around the best grid offset.  When it does not, that offset is an end
-of the grid, and the derivative there points out of the grid (the
-profile still rises toward the search limit: ``α̂ → ∞`` as ``μ̂`` runs
-off at the top, ``α̂ < 1`` at the bottom), the fit is that exactly
-evaluated grid point, whose likelihood no other grid offset beats.  A
-bounded minimizer on that end cell would only creep toward the same
-end.
+of the search (the last grid offset, or the first whose ``μ`` leaves
+``max(x)``), and the derivative there points out of it (the profile
+still rises toward the search limit: ``α̂ → ∞`` as ``μ̂`` runs off at
+the top, ``α̂ < 1`` at the bottom), the fit is that exactly evaluated
+grid point, whose likelihood no other grid offset beats.  A bounded
+minimizer on that end cell would only creep toward the same end.
 
 The coarse grid is valued in one vectorised pass (:func:`_grid_profile`)
 whose values only choose candidates: every offset near the best value,
 and every offset the pass cannot vouch for, is re-evaluated exactly on
-the scalar path, so the fit is the one a scalar scan of the whole grid
-gives, bit for bit.
+the scalar path, so the best grid offset and the refinement bracket
+are those a scalar scan of the whole grid gives.
 
-The shape equation, the derivative root and the bounded fallback are
-solved by :mod:`~repro.evt.brent`, ports of scipy's ``brentq`` and
-bounded Brent minimiser that return scipy's doubles, so a fit imports
-no scipy.
+An exact profile solves its shape equation by safeguarded Newton on
+``ln a`` from a known root (:func:`_newton_shape`): a re-evaluated grid
+row from the root the pass found for it, a root-path point from the
+root at the nearest offset solved so far.  Without a start, or when
+Newton gives up, the cold Brent solve runs.  Fits thus match the cold
+solves' up to rounding, not bit for bit (``μ̂ − max(x)`` and ``α̂``
+within ``1e-8``, the log-likelihood within ``1e-12`` relative).  The
+cold shape solve, the derivative root and the bounded fallback use
+:mod:`~repro.evt.brent`, ports of scipy's ``brentq`` and bounded Brent
+minimiser that return scipy's doubles, so a fit imports no scipy.
 
 Also provided: an observed-information covariance estimate of
 ``(α̂, β̂, μ̂)`` (the paper's ``VAR`` matrix, Eqn. 3.4) and a scipy
@@ -132,6 +138,10 @@ def _validate_sample(x: np.ndarray) -> np.ndarray:
 _SHAPE_LO = 1e-6
 _SHAPE_HI = 8.0 * 4.0**11
 
+#: Newton steps a warm shape solve may take before the cold solve runs.
+_NEWTON_STEPS = 12
+_LN4 = math.log(4.0)
+
 #: Grid cells (offsets × sample values) one vectorised pass holds at once.
 _GRID_BLOCK = 1 << 16
 
@@ -153,10 +163,57 @@ def _weibull_shape_equation(
     return float(_sum(ya * ln_y) / _sum(ya) - 1.0 / a - mean_ln)
 
 
-def _solve_shape(y: np.ndarray) -> float:
-    """Solve the 1-D Weibull shape equation for y in (0, 1]."""
+def _newton_shape(ln_y: np.ndarray, mean_ln: float, a: float) -> Optional[float]:
+    """Shape root by safeguarded Newton on ``ln a``, started at ``a``.
+
+    The iteration of one :func:`_grid_profile` row, with its stop test
+    (a step of at most ``1e-10`` in ``ln a``, which is then taken), but
+    no step moves ``a`` by more than ×4.  ``None`` when an iterate
+    leaves ``(_SHAPE_LO, _SHAPE_HI / 2)``, a step is not finite, or
+    ``_NEWTON_STEPS`` steps do not converge.
+    """
+    lo, hi = _SHAPE_LO, math.inf
+    for _ in range(_NEWTON_STEPS):
+        if not _SHAPE_LO < a < 0.5 * _SHAPE_HI:
+            return None
+        w = np.exp(a * ln_y)
+        s0 = float(_sum(w))
+        wz = w * ln_y
+        r = float(_sum(wz)) / s0
+        g = r - 1.0 / a - mean_ln
+        dg = float(_sum(wz * ln_y)) / s0 - r * r + 1.0 / (a * a)
+        newton = -g / (a * dg) if dg else math.inf
+        if not math.isfinite(newton):
+            return None
+        if abs(newton) <= 1e-10:
+            return a * math.exp(newton)
+        if g < 0.0:
+            lo = a
+        elif g > 0.0:
+            hi = a
+        # At most ×4 either way: from far above the root a full step
+        # lands far below it, where Newton climbs by ×e a step.
+        step = a * math.exp(max(-_LN4, min(newton, _LN4)))
+        if not lo <= step <= hi:
+            step = math.sqrt(lo * hi) if hi < math.inf else 4.0 * a
+        a = step
+    return None
+
+
+def _solve_shape(y: np.ndarray, start: Optional[float] = None) -> Tuple[float, bool]:
+    """Solve the 1-D Weibull shape equation for y in (0, 1].
+
+    Returns ``(a, cold)``.  From ``start``, the root of a nearby
+    equation, the solve is :func:`_newton_shape`.  Without a start, or
+    when Newton gives up, it is the cold Brent solve on the bracket
+    ``[_SHAPE_LO, 8]`` (widened ×4 as needed), and ``cold`` is true.
+    """
     ln_y = np.log(y)
     mean_ln = float(_sum(ln_y) / y.size)
+    if start is not None:
+        a = _newton_shape(ln_y, mean_ln, start)
+        if a is not None:
+            return a, False
     lo, hi = _SHAPE_LO, 8.0
     g_hi = _weibull_shape_equation(hi, y, ln_y, mean_ln)
     while g_hi < 0 and hi < _SHAPE_HI:
@@ -167,8 +224,8 @@ def _solve_shape(y: np.ndarray) -> float:
     g_lo = _weibull_shape_equation(lo, y, ln_y, mean_ln)
     if g_lo > 0:
         # Extremely heavy lower tail; the root is below lo.
-        return lo
-    return brentq(
+        return lo, True
+    root = brentq(
         _weibull_shape_equation,
         lo,
         hi,
@@ -177,15 +234,18 @@ def _solve_shape(y: np.ndarray) -> float:
         fa=g_lo,
         fb=g_hi,
     )
+    return root, True
 
 
 def _profile_loglik(
-    mu: float, x: np.ndarray
-) -> Tuple[float, float, float]:
+    mu: float, x: np.ndarray, start: Optional[float] = None
+) -> Tuple[float, float, float, bool]:
     """Maximize over (alpha, scale) at fixed mu.
 
-    Returns ``(loglik, alpha, scale)`` where scale is the Weibull scale
-    of ``y = mu − x`` (so ``beta = scale**(-alpha)``).  Raises
+    Returns ``(loglik, alpha, scale, cold)`` where scale is the Weibull
+    scale of ``y = mu − x`` (so ``beta = scale**(-alpha)``) and ``cold``
+    tells whether the shape root came from the cold Brent solve rather
+    than from Newton at ``start`` (see :func:`_solve_shape`).  Raises
     :class:`FitError` (cause ``zero-offset``) when ``mu`` rounds to
     ``max(x)``, which leaves a zero in ``y``.
     """
@@ -196,7 +256,7 @@ def _profile_loglik(
         )
     c = float(y.max())
     yn = y / c  # scale-invariant shape equation; renormalize after
-    a = _solve_shape(yn)
+    a, cold = _solve_shape(yn, start)
     m = x.size
     lam_n = float(_sum(yn ** a) / m) ** (1.0 / a)
     scale = lam_n * c
@@ -207,18 +267,21 @@ def _profile_loglik(
         + (a - 1.0) * float(_sum(np.log(y)))
         - m
     )
-    return ll, a, scale
+    return ll, a, scale, cold
 
 
-def _grid_profile(mus: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _grid_profile(
+    mus: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Approximate profile log-likelihood at every ``mu`` in one pass.
 
     Solves the shape equations of all rows of ``y = mus[:, None] − x``
     at once by Newton's method on ``ln a`` (``g`` is increasing in
     ``a``), safeguarded by a per-row bracket that falls back to
-    bisection.  Returns ``(ll, err)``: each value is within ``err`` of
-    what :func:`_profile_loglik` computes at that ``mu``, so the values
-    only choose which offsets the scalar path re-evaluates.  ``err`` is
+    bisection.  Returns ``(ll, err, a)``: each value is within ``err``
+    of what :func:`_profile_loglik` computes at that ``mu``, so the
+    values only choose which offsets the scalar path re-evaluates, and
+    ``a`` is each row's shape root, where that solve starts.  ``err`` is
     infinite where the value says nothing about the scalar one:
     non-finite, unconverged, or a root near the scalar solver's upper
     limit (past which it fails).
@@ -269,14 +332,14 @@ def _grid_profile(mus: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     # No root comes near the scalar solver's floor: g < 0 below
     # 1/range(ln y), and ln y of doubles spans less than 1,500.
     err[~converged | ~np.isfinite(ll) | (a > 0.5 * _SHAPE_HI)] = np.inf
-    return ll, err
+    return ll, err, a
 
 
 def _profile_dll(
     mu: float,
     x: np.ndarray,
-    profile: Optional[Tuple[float, float, float]] = None,
-) -> Tuple[float, Tuple[float, float, float]]:
+    profile: Optional[Tuple[float, float, float, bool]] = None,
+) -> Tuple[float, Tuple[float, float, float, bool]]:
     """Derivative of the profile log-likelihood with respect to mu.
 
     By the envelope theorem the total derivative of the profiled
@@ -285,16 +348,16 @@ def _profile_dll(
     ``dll/dμ = (α−1) Σ 1/y_i − (α/λ) Σ (y_i/λ)^(α−1)``, ``y = μ − x``.
 
     Returns ``(dll, profile)``, where ``profile`` is the
-    ``(loglik, alpha, scale)`` of :func:`_profile_loglik` at ``mu``;
-    a ``profile`` passed in (one the caller already evaluated at
-    ``mu``) is used instead of solving it again.
+    ``(loglik, alpha, scale, cold)`` of :func:`_profile_loglik` at
+    ``mu``; a ``profile`` passed in (one the caller already evaluated
+    at ``mu``) is used instead of solving it again.
     Root-finding on this derivative localizes the profile optimum to
     ~machine precision, where a scalar *minimizer* on the likelihood
     itself can only reach ~sqrt(eps).
     """
     if profile is None:
         profile = _profile_loglik(mu, x)
-    _, a, scale = profile
+    _, a, scale, _ = profile
     y = mu - x
     dll = (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
         _sum((y / scale) ** (a - 1.0))
@@ -358,12 +421,18 @@ def _fit_weibull_mle_impl(
     The diagnostics dict carries the μ-profile search telemetry the
     ``mle.fit`` span records: profile evaluations on the coarse
     grid (and how many were finite), the refinement bracket around the
-    best offset, and which refinement path ran (``"root"`` when the
+    best offset, which refinement path ran (``"root"`` when the
     profile derivative bracketed a sign change, ``"edge"`` when it did
-    not, the best offset is the first or last of the grid and the
-    derivative there points out of the grid, which makes that offset
-    the fit, ``"minimize"`` for the bounded-minimizer fallback
-    otherwise, ``"none"`` when the bracket collapsed).
+    not, the best offset is the first or last of the search and the
+    derivative there points out of it, which makes that offset the
+    fit, ``"minimize"`` for the bounded-minimizer fallback otherwise,
+    ``"none"`` when the bracket collapsed), and the exact scalar
+    profile solves it made (``profile_solves``, one per offset valued),
+    of which ``cold_solves`` ran the cold Brent shape solve.
+
+    Grid rows the vectorised pass vouches for and root-path points
+    start their shape solve from a known root (see the module doc); the
+    bounded minimizer's points keep the cold solve.
     """
     x = _validate_sample(x)
     top = float(x.max())
@@ -374,26 +443,27 @@ def _fit_weibull_mle_impl(
     # One vectorised pass values every offset; the scalar path then
     # re-evaluates every offset the pass cannot rule out as the best
     # (suspect rows, and all within their error bound of the best
-    # value), so ``best``, ``lls`` and hence the fit equal a scalar
+    # value), so ``best`` and the refinement bracket are a scalar
     # scan's.
     rows = max(1, _GRID_BLOCK // x.size)
     passes = [
         _grid_profile(top + offsets[i : i + rows], x)
         for i in range(0, offsets.size, rows)
     ]
-    lls = np.concatenate([p[0] for p in passes])
-    err = np.concatenate([p[1] for p in passes])
+    lls, err, roots = (np.concatenate(p) for p in zip(*passes))
     exact = set()
-    # (ll, a, scale) at every offset the scalar path valued without
-    # failing: the grid's exact rows, then the refinement's.  Both
-    # solvers return one of those offsets.
+    # (ll, a, scale, cold) at every offset the scalar path valued
+    # without failing: the grid's exact rows, then the refinement's.
+    # Both solvers return one of those offsets.
     profiles = {}
     todo = np.flatnonzero(np.isinf(err))
     while True:
         for i in todo:
             off = offsets[i]
+            # A row the pass vouches for starts from the root it found.
+            start = float(roots[i]) if math.isfinite(err[i]) else None
             try:
-                profiles[off] = _profile_loglik(top + off, x)
+                profiles[off] = _profile_loglik(top + off, x, start)
                 lls[i] = profiles[off][0]
             except (FitError, FloatingPointError, OverflowError):
                 lls[i] = -np.inf
@@ -412,7 +482,7 @@ def _fit_weibull_mle_impl(
             "profile likelihood evaluation failed everywhere",
             cause="profile-failed",
         )
-    ll, a, scale = profiles[offsets[best_idx]]
+    ll, a, scale, _ = profiles[offsets[best_idx]]
     best = (ll, top + offsets[best_idx], a, scale)
 
     # Refine around the best grid offset.  When the bracket straddles a
@@ -421,7 +491,7 @@ def _fit_weibull_mle_impl(
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
     # order there).  Without that sign change, a best offset at an end
-    # of the grid whose derivative points out of the grid (d ≥ 0 at the
+    # of the search whose derivative points out of it (d ≥ 0 at the
     # last offset, d ≤ 0 at the first) is the fit ("edge"): the profile
     # rises toward the search limit there (α̂ → ∞ at the top end, α̂ < 1
     # at the bottom), so a minimizer on the end cell only creeps toward
@@ -429,18 +499,29 @@ def _fit_weibull_mle_impl(
     # With a NaN derivative, or one that turns down inside the end
     # cell, the grid point need not be the cell's best: those, and
     # interior optima whose derivative test fails (clamped inner solves
-    # or a coarse grid), keep the bounded minimize.
+    # or a coarse grid), keep the bounded minimize.  The search starts
+    # at the first offset that leaves max(x): the ones below it round
+    # to max(x) (failed, zero-offset grid rows), so a best offset just
+    # above them is the bracket's lower end.
     last = offsets.size - 1
-    lo_off = offsets[max(best_idx - 1, 0)]
+    first = int(np.count_nonzero(top + offsets == top))
+    lo_off = offsets[max(best_idx - 1, first)]
     hi_off = offsets[min(best_idx + 1, last)]
     refined: Optional[float] = None
     refine_path = "none"
 
     def dll_at(off: float) -> float:
-        dll, profiles[off] = _profile_dll(top + off, x, profiles.get(off))
-        return dll
+        # A root-path point starts from the root at the nearest offset
+        # solved so far.
+        if off not in profiles:
+            near = min(profiles, key=lambda o: abs(o - off))
+            profiles[off] = _profile_loglik(top + off, x, profiles[near][1])
+        return _profile_dll(top + off, x, profiles[off])[0]
 
     def neg_ll_at(off: float) -> float:
+        # The minimizer compares values of a nearly flat profile, so a
+        # change in their last bits moves where it stops (μ̂ by 2e-5
+        # relative on a 5-point grid): its points keep the cold solve.
         profile = profiles[off] = _profile_loglik(top + off, x)
         return -profile[0]
 
@@ -455,7 +536,9 @@ def _fit_weibull_mle_impl(
             refined = brentq(
                 dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
             )
-        elif (best_idx == last and d_hi >= 0.0) or (best_idx == 0 and d_lo <= 0.0):
+        elif (best_idx == last and d_hi >= 0.0) or (
+            best_idx == first and d_lo <= 0.0
+        ):
             refine_path = "edge"
         else:
             refine_path = "minimize"
@@ -465,7 +548,7 @@ def _fit_weibull_mle_impl(
             if success:
                 refined = float(off)
     if refined is not None:
-        ll, a, scale = profiles[refined]
+        ll, a, scale, _ = profiles[refined]
         # Tolerance keeps the accept decision stable under ulp-level
         # input perturbations (e.g. the same sample at another scale).
         if ll >= best[0] - 1e-9 * abs(best[0]):
@@ -495,6 +578,8 @@ def _fit_weibull_mle_impl(
         "bracket_lo": float(lo_off),
         "bracket_hi": float(hi_off),
         "mu_offset": float(mu - top),
+        "profile_solves": len(profiles),
+        "cold_solves": sum(p[3] for p in profiles.values()),
     }
     return fit, diag
 

@@ -52,7 +52,7 @@ def _grid(x: np.ndarray):
     top, spread = float(x.max()), float(np.ptp(x))
     offsets = np.geomspace(1e-4 * spread, 10.0 * spread, 80)
     with np.errstate(all="ignore"):
-        lls, _ = mle._grid_profile(top + offsets, x)
+        lls, _, _ = mle._grid_profile(top + offsets, x)
     return top, spread, offsets, int(np.nanargmax(lls))
 
 

@@ -137,16 +137,20 @@ class TestFisherCovariance:
 
 
 # ---------------------------------------------------------------------------
-# Identity of the vectorised coarse grid with the scalar scan it replaced.
+# Identity of the vectorised coarse grid and the warm shape solves with
+# the scalar scan they replaced.
 #
 # The reference below is the scalar fitter as it stood before the grid
 # was vectorised, kept verbatim (only the names carry a ``_ref`` prefix)
-# apart from the edge rule of the refinement, which it takes too:
-# shape solver, profile likelihood and derivative, the per-offset grid
-# loop and the refinement.  The production fitter must return the same
-# fit, the same diagnostics and the same FitError cause, bit for bit.
-# With ``edge=False`` the reference runs the bounded minimizer at the
-# grid ends too, as the fitter did before that rule (TestEdgeOptima).
+# apart from the edge rule of the refinement and the search's first
+# offset, which it takes too: shape solver (scipy's Brent from the cold
+# bracket), profile likelihood and derivative, the per-offset grid loop
+# and the refinement.  The production fitter, whose shape solves start
+# Newton from a known root, must return the same outcome, diagnostics
+# and FitError cause, and the same fit up to the shape roots' rounding
+# (``_assert_matches_reference``).  With ``edge=False`` the reference
+# runs the bounded minimizer at the grid ends too, as the fitter did
+# before that rule (TestEdgeOptima).
 
 
 def _ref_weibull_shape_equation(a: float, y: np.ndarray, mean_ln: float) -> float:
@@ -239,12 +243,14 @@ def _reference_fit(
     # by root-finding: that pins μ̂ to ~machine precision, whereas a
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  Otherwise a best offset at a grid end whose
-    # derivative points out of the grid is the fit ("edge"); the bounded
+    # order there).  Otherwise a best offset at an end of the search
+    # whose derivative points out of it is the fit ("edge"); the bounded
     # minimize remains as the fallback for the rest (and, with
-    # ``edge=False``, for those too).
+    # ``edge=False``, for those too).  The search starts at the first
+    # offset for which ``top + offset`` leaves ``top``.
     best_idx = int(np.argmax(lls))
-    lo_off = offsets[max(best_idx - 1, 0)]
+    first = int(np.count_nonzero(top + offsets == top))
+    lo_off = offsets[max(best_idx - 1, first)]
     hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
     refined: Optional[float] = None
     refine_path = "none"
@@ -266,7 +272,7 @@ def _reference_fit(
             )
         elif edge and (
             (best_idx == offsets.size - 1 and d_hi >= 0.0)
-            or (best_idx == 0 and d_lo <= 0.0)
+            or (best_idx == first and d_lo <= 0.0)
         ):
             refine_path = "edge"
         else:
@@ -365,6 +371,34 @@ def _outcome(fitter, x, settings):
     return ("fit", fit, diag)
 
 
+#: Diagnostics the warm solves leave exactly as the reference's.
+_SAME_DIAG = (
+    "refine", "refine_accepted", "m", "grid_points", "grid_finite",
+    "bracket_lo", "bracket_hi",
+)
+
+
+def _assert_same_fit(got, expected, context):
+    """The same outcome kind, FitError cause and search diagnostics; the
+    same fit up to the shape roots' rounding: α̂, the Weibull scale and
+    μ̂ − max(x) within 1e-8 relative, the log-likelihood within 1e-12."""
+    assert got[0] == expected[0], context
+    if got[0] != "fit":
+        assert got == expected, context
+        return
+    (_, fit, diag), (_, ref, ref_diag) = got, expected
+    assert [diag[k] for k in _SAME_DIAG] == [
+        ref_diag[k] for k in _SAME_DIAG
+    ], context
+    for value, ref_value in (
+        (fit.alpha, ref.alpha),
+        (fit.distribution.scale, ref.distribution.scale),
+        (diag["mu_offset"], ref_diag["mu_offset"]),
+    ):
+        assert value == pytest.approx(ref_value, rel=1e-8, abs=0.0), context
+    assert fit.loglik == pytest.approx(ref.loglik, rel=1e-12, abs=0.0), context
+
+
 def _assert_matches_reference(x, settings, context):
     expected = _outcome(_reference_fit, x, settings)
     got = _outcome(mle._fit_weibull_mle_impl, x, settings)
@@ -374,11 +408,12 @@ def _assert_matches_reference(x, settings, context):
         # (FitError "zero-offset") and never raises a bare ValueError.
         assert got[0] in ("fit", "error"), context
     else:
-        assert got == expected, context
+        _assert_same_fit(got, expected, context)
 
 
 class TestVectorisedGridIdentity:
-    """2,000 seeded samples: fit, diagnostics and FitError cause match."""
+    """2,000 seeded samples: outcome, diagnostics and FitError cause
+    match, and the fit within the shape roots' rounding."""
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_matches_scalar_reference(self, chunk):
@@ -465,7 +500,8 @@ class TestEdgeOptima:
     def test_only_grid_end_minimizer_fits_move(self, chunk):
         """Against the refinement before the rule, on the identity
         samples: a fit changes only where that one ran the minimizer on
-        an end cell of the grid, and its log-likelihood never falls.
+        an end cell of the grid, and its log-likelihood does not fall
+        (by more than the warm shape solves' rounding, 1e-12 relative).
 
         Only the edge fits need the old reference: on every other sample
         ``_reference_fit`` takes the same branch with ``edge`` on or off,
@@ -499,14 +535,66 @@ class TestEdgeOptima:
                     (offsets[-2], offsets[-1], top + offsets[-1]),
                 ), context
                 assert not diag["refine_accepted"], context
-                assert fit.loglik >= old_fit.loglik, context
+                assert fit.loglik >= old_fit.loglik - 1e-12 * abs(
+                    old_fit.loglik
+                ), context
                 assert fit.mu == pytest.approx(old_fit.mu, rel=1e-7), context
         assert edge_fits > 300
 
 
+class TestWarmShapeSolve:
+    """An exact shape solve with a start runs Newton on ``ln a`` from it,
+    and the cold Brent solve only where Newton gives up."""
+
+    @staticmethod
+    def _equations():
+        # Normalised y of normal block maxima across the default μ grid.
+        for seed in range(20):
+            x = TestEdgeOptima._normal_maxima(seed)
+            for frac in (1e-4, 1e-2, 1.0, 10.0):
+                y = x.max() + frac * np.ptp(x) - x
+                yield y / y.max()
+
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_warm_start_returns_the_cold_root(self, factor):
+        for yn in self._equations():
+            root, cold = mle._solve_shape(yn)
+            assert cold
+            a, cold = mle._solve_shape(yn, factor * root)
+            assert not cold, yn.tolist()
+            assert a == pytest.approx(root, rel=1e-12, abs=0.0), yn.tolist()
+
+    @pytest.mark.parametrize(
+        "start", [0.5 * mle._SHAPE_LO, mle._SHAPE_LO, 0.5 * mle._SHAPE_HI, math.nan]
+    )
+    def test_start_outside_the_limits_runs_the_cold_solve(self, start):
+        for yn in self._equations():
+            assert mle._solve_shape(yn, start) == mle._solve_shape(yn)
+
+    def test_normal_block_maxima_make_no_cold_solves(self):
+        """Every 5th identity seed (block maxima of normals, like the
+        estimator's) at default settings: every exact profile solve,
+        grid row or refinement point, starts from a known root."""
+        fits = solves = 0
+        with np.errstate(all="ignore"):
+            for seed in range(4, 2000, 5):
+                x, settings = _identity_case(seed)
+                if settings != (10.0, 80, 1e-4):
+                    continue
+                try:
+                    _, diag = mle._fit_weibull_mle_impl(x, *settings)
+                except FitError:
+                    continue
+                fits += 1
+                solves += diag["profile_solves"]
+                assert diag["cold_solves"] == 0, (seed, diag)
+        assert fits > 250 and solves > 2000
+
+
 class TestZeroOffset:
     """μ rounding to max(x) leaves a zero in ``y = μ − x``: that profile
-    row fails with a FitError, before any log of zero."""
+    row fails with a FitError, before any log of zero, and the
+    refinement's search starts above such rows."""
 
     @pytest.mark.parametrize(
         "x, settings",
@@ -533,3 +621,30 @@ class TestZeroOffset:
         with pytest.raises(FitError) as info:
             mle._profile_loglik(3.0, x)
         assert info.value.cause == "zero-offset"
+
+    @pytest.mark.parametrize(
+        "seed", [8, 64, 112, 118, 177, 188, 226, 239, 242, 244, 255, 261, 270]
+    )
+    def test_search_starts_above_the_rows_that_round_away(self, seed):
+        """Normal block maxima of spread ~1e-5 at 1e6 whose best offset is
+        the first that leaves max(x): it is the lower end of the search
+        (bracket and edge rule), so no refinement point rounds to max(x),
+        which used to fail the whole fit with cause ``zero-offset``."""
+        normal = np.random.default_rng(seed).normal(size=(10, 30)).max(axis=1)
+        x = 1e6 + 1e-5 * normal
+        settings = (10.0, 80, 1e-9)
+        fit, diag = mle._fit_weibull_mle_impl(x, *settings)
+        top = float(x.max())
+        offsets = _grid_offsets(x, settings)
+        first = int(np.count_nonzero(top + offsets == top))
+        assert first > 0
+        assert diag["bracket_lo"] == offsets[first]
+        assert diag["refine"] in ("edge", "root")
+        grid = []
+        for off in offsets[first:]:
+            try:
+                grid.append(mle._profile_loglik(top + off, x)[0])
+            except FitError:
+                pass
+        # The accept rule's tolerance: no fit below the best grid value.
+        assert fit.loglik >= max(grid) - 1e-9 * abs(max(grid))

@@ -375,9 +375,11 @@ class TestMleInstrumentation:
         assert attrs["m"] == 200
         for key in (
             "grid_points", "grid_finite", "refine", "refine_accepted",
-            "bracket_lo", "bracket_hi", "mu_offset",
+            "bracket_lo", "bracket_hi", "mu_offset", "profile_solves",
+            "cold_solves",
         ):
             assert key in attrs
+        assert 0 <= attrs["cold_solves"] <= attrs["profile_solves"]
         counters = {
             c["name"]: c["value"] for c in registry.snapshot()["counters"]
         }
