@@ -8,8 +8,8 @@ Layering:
   background (§2.1).
 * :mod:`~repro.evt.block_maxima` — sample formation (Figure 3).
 * :mod:`~repro.evt.mle` — profile-likelihood MLE (§2.2/§3.2).
-* :mod:`~repro.evt.brent` — the MLE's root finder and bounded
-  minimiser, ports of scipy's that return its doubles.
+* :mod:`~repro.evt.brent` — the MLE's root finder, a port of scipy's
+  ``brentq`` that returns its doubles.
 * :mod:`~repro.evt.gpd` — the generalized Pareto law and its
   threshold-exceedance fits (the POT route), whose MLE runs on
   :mod:`~repro.evt.nelder_mead`, a port of scipy's Nelder–Mead that

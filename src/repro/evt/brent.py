@@ -1,16 +1,13 @@
-"""Brent's root finder and bounded scalar minimiser, ported from SciPy.
+"""Brent's root finder, ported from SciPy.
 
 The profile-likelihood MLE (:mod:`repro.evt.mle`) solves the Weibull
 shape equation and the profile derivative with a bracketing root
-finder, and falls back to a bounded minimiser for its refinement; the
-moments fit (:mod:`repro.evt.fitting`) solves its shape equation with
-the same root finder.  :func:`brentq` ports SciPy's ``brentq`` (the C
+finder, and the moments fit (:mod:`repro.evt.fitting`) solves its shape
+equation with it too.  :func:`brentq` ports SciPy's ``brentq`` (the C
 loop of ``scipy/optimize/Zeros/brentq.c`` and the NaN, sign and
-non-convergence errors of its Python wrapper); :func:`minimize_scalar_bounded`
-ports ``_minimize_scalar_bounded`` (``scipy/optimize/_optimize.py``,
-what ``minimize_scalar(method="bounded")`` runs).  Each does the same
-IEEE double operations in the same order, so both return SciPy's
-doubles (``tests/evt/test_brent.py`` compares them on the fitter's own
+non-convergence errors of its Python wrapper).  It does the same IEEE
+double operations in the same order, so it returns SciPy's doubles
+(``tests/evt/test_brent.py`` compares them on the fitter's own
 brackets) without importing ``scipy.optimize``, which the estimator's
 default path then never loads.
 
@@ -55,9 +52,9 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-__all__ = ["brentq", "minimize_scalar_bounded"]
+__all__ = ["brentq"]
 
 # scipy.optimize.brentq's defaults.
 _XTOL = 2e-12
@@ -167,113 +164,3 @@ def brentq(
         fcur = checked(xcur, f(xcur, *args))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
-
-def _sign1(v: float) -> float:
-    """scipy's ``np.sign(v) + (v == 0)``: ±1, with 0 counted positive."""
-    return 1.0 if v >= 0 else -1.0
-
-
-def minimize_scalar_bounded(
-    func: Callable[[float], float],
-    bounds: Tuple[float, float],
-    xatol: float = 1e-5,
-    maxiter: int = 500,
-) -> Tuple[float, float, bool]:
-    """Minimum of ``func`` on ``bounds`` by Brent's bounded method.
-
-    ``scipy.optimize.minimize_scalar(func, bounds=bounds,
-    method="bounded", options={"xatol": xatol, "maxiter": maxiter})``,
-    bit for bit.  Returns ``(x, fun, success)``, where ``fun`` is
-    ``func(x)`` and ``success`` is false when ``maxiter`` evaluations
-    ran out or a NaN was met.
-
-    Raises
-    ------
-    ValueError
-        When a bound is not finite or the lower exceeds the upper.
-    """
-    x1, x2 = bounds
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if x1 > x2:
-        raise ValueError("The lower bound exceeds the upper bound.")
-
-    flag = 0
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    fu = math.inf
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # Check for parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign1(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + _sign1(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= maxiter:
-            flag = 1
-            break
-
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        flag = 2
-    return xf, fx, flag == 0

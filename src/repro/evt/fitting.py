@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import FitError
 from .brent import brentq
 from .distributions import GeneralizedWeibull
-from .mle import WeibullFit, _validate_sample
+from .mle import _MU_SPAN, WeibullFit, _validate_sample
 from .order_stats import empirical_cdf
 
 __all__ = [
@@ -38,14 +38,15 @@ __all__ = [
 ]
 
 
-def fit_weibull_lsq(x: np.ndarray, mu_span: float = 10.0) -> WeibullFit:
+def fit_weibull_lsq(x: np.ndarray) -> WeibullFit:
     """Least-squares CDF fit of the generalized Weibull (paper's rejected
     "curve fitting approach").
 
     Minimizes ``sum_i (G(x_(i); α, β, μ) − p_i)^2`` over the admissible
     region, with ``p_i`` midpoint plotting positions.  Parametrized as
     ``(log α, log scale, log(μ − max x))`` so the optimizer cannot leave
-    the support constraint.
+    the support constraint; ``μ`` is searched up to the MLE's limit,
+    ``max(x) + _MU_SPAN·range(x)``, so both fitters share one domain.
 
     Raises
     ------
@@ -74,7 +75,7 @@ def fit_weibull_lsq(x: np.ndarray, mu_span: float = 10.0) -> WeibullFit:
         x0,
         bounds=(
             [-6.0, math.log(spread) - 12.0, math.log(spread) - 14.0],
-            [12.0, math.log(spread) + 8.0, math.log(mu_span * spread)],
+            [12.0, math.log(spread) + 8.0, math.log(_MU_SPAN * spread)],
         ),
         xtol=1e-12,
         ftol=1e-12,

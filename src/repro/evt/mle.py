@@ -9,19 +9,17 @@ this always holds when the sample size n is much smaller than |V|.
 Implementation: with ``y_i = μ − x_i`` the model is an ordinary Weibull
 in ``y``, so for fixed ``μ`` the inner problem has the classical
 solution (1-D monotone shape equation + closed-form scale).  We profile
-the log-likelihood over ``μ`` on ``(max(x), max(x) + span·range]``
-(coarse log-spaced grid, then bounded refinement), which is robust for
-the small ``m`` (≈10) the paper uses — exactly where naive 3-D
+the log-likelihood over ``μ`` on a fixed log-spaced grid of offsets
+above ``max(x)`` (``_GRID_POINTS`` from ``_MIN_OFFSET_FRAC`` to
+``_MU_SPAN`` times ``range(x)``), then refine, which is robust for the
+small ``m`` (≈10) the paper uses — exactly where naive 3-D
 optimization and curve fitting get unstable (§3.1).
 
-The refinement root-finds the profile derivative when it changes sign
-around the best grid offset.  When it does not, that offset is an end
-of the search (the last grid offset, or the first whose ``μ`` leaves
-``max(x)``), and the derivative there points out of it (the profile
-still rises toward the search limit: ``α̂ → ∞`` as ``μ̂`` runs off at
-the top, ``α̂ < 1`` at the bottom), the fit is that exactly evaluated
-grid point, whose likelihood no other grid offset beats.  A bounded
-minimizer on that end cell would only creep toward the same end.
+The refinement has one rule: the root of the profile derivative when
+it changes sign across the offsets around the best one, else that grid
+point.  At an end of the search (the last offset, or the first whose
+``μ`` leaves ``max(x)``) the profile then still rises toward the limit
+(``α̂ → ∞`` at the top, ``α̂ < 1`` at the bottom).
 
 The coarse grid is valued in one vectorised pass (:func:`_grid_profile`)
 whose values only choose candidates: every offset near the best value,
@@ -36,9 +34,9 @@ root at the nearest offset solved so far.  Without a start, or when
 Newton gives up, the cold Brent solve runs.  Fits thus match the cold
 solves' up to rounding, not bit for bit (``μ̂ − max(x)`` and ``α̂``
 within ``1e-8``, the log-likelihood within ``1e-12`` relative).  The
-cold shape solve, the derivative root and the bounded fallback use
-:mod:`~repro.evt.brent`, ports of scipy's ``brentq`` and bounded Brent
-minimiser that return scipy's doubles, so a fit imports no scipy.
+cold shape solve and the derivative root use
+:func:`~repro.evt.brent.brentq`, a port of scipy's ``brentq`` that
+returns scipy's doubles, so a fit imports no scipy.
 
 Also provided: an observed-information covariance estimate of
 ``(α̂, β̂, μ̂)`` (the paper's ``VAR`` matrix, Eqn. 3.4) and a scipy
@@ -55,7 +53,7 @@ import numpy as np
 
 from ..errors import EstimationError, FitError
 from ..obs.spans import get_span_recorder
-from .brent import brentq, minimize_scalar_bounded
+from .brent import brentq
 from .distributions import GeneralizedWeibull
 
 __all__ = ["WeibullFit", "fit_weibull_mle", "fit_weibull_mle_scipy", "fisher_covariance"]
@@ -131,6 +129,13 @@ def _validate_sample(x: np.ndarray) -> np.ndarray:
         )
     return x
 
+
+#: The μ search: log-spaced offsets above ``max(x)`` over
+#: ``[_MIN_OFFSET_FRAC, _MU_SPAN]·range(x)``; the smallest keeps the
+#: non-regular boundary at bay.
+_MU_SPAN = 10.0
+_GRID_POINTS = 80
+_MIN_OFFSET_FRAC = 1e-4
 
 #: Limits of the scalar shape solve: :func:`_solve_shape` returns its
 #: lower limit when the root lies below it, and fails when ``g`` is
@@ -336,54 +341,29 @@ def _grid_profile(
 
 
 def _profile_dll(
-    mu: float,
-    x: np.ndarray,
-    profile: Optional[Tuple[float, float, float, bool]] = None,
-) -> Tuple[float, Tuple[float, float, float, bool]]:
+    mu: float, x: np.ndarray, profile: Tuple[float, float, float, bool]
+) -> float:
     """Derivative of the profile log-likelihood with respect to mu.
 
     By the envelope theorem the total derivative of the profiled
     likelihood equals the partial derivative of the full likelihood at
     the inner optimum (``∂ll/∂α = ∂ll/∂λ = 0`` there):
-    ``dll/dμ = (α−1) Σ 1/y_i − (α/λ) Σ (y_i/λ)^(α−1)``, ``y = μ − x``.
-
-    Returns ``(dll, profile)``, where ``profile`` is the
-    ``(loglik, alpha, scale, cold)`` of :func:`_profile_loglik` at
-    ``mu``; a ``profile`` passed in (one the caller already evaluated
-    at ``mu``) is used instead of solving it again.
-    Root-finding on this derivative localizes the profile optimum to
-    ~machine precision, where a scalar *minimizer* on the likelihood
-    itself can only reach ~sqrt(eps).
+    ``dll/dμ = (α−1) Σ 1/y_i − (α/λ) Σ (y_i/λ)^(α−1)``, ``y = μ − x``,
+    with ``(α, λ)`` from ``profile``, the :func:`_profile_loglik` of
+    ``mu``.  Root-finding on this derivative localizes the profile
+    optimum to ~machine precision, where a scalar *minimizer* on the
+    likelihood itself can only reach ~sqrt(eps).
     """
-    if profile is None:
-        profile = _profile_loglik(mu, x)
     _, a, scale, _ = profile
     y = mu - x
-    dll = (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
+    return (a - 1.0) * float(_sum(1.0 / y)) - (a / scale) * float(
         _sum((y / scale) ** (a - 1.0))
     )
-    return dll, profile
 
 
-def fit_weibull_mle(
-    x: np.ndarray,
-    mu_span: float = 10.0,
-    grid_points: int = 80,
-    min_offset_frac: float = 1e-4,
-) -> WeibullFit:
-    """Profile-likelihood MLE for the generalized Weibull.
-
-    Parameters
-    ----------
-    x:
-        Block maxima (at least 3, not all equal).
-    mu_span:
-        The μ search extends to ``max(x) + mu_span * range(x)``.
-    grid_points:
-        Log-spaced coarse-grid size for the μ profile scan.
-    min_offset_frac:
-        Smallest explored ``μ − max(x)`` as a fraction of the sample
-        range (keeps the non-regular boundary at bay).
+def fit_weibull_mle(x: np.ndarray) -> WeibullFit:
+    """Profile-likelihood MLE for the generalized Weibull of the block
+    maxima ``x`` (at least 3, not all equal); see the module doc.
 
     Raises
     ------
@@ -392,9 +372,7 @@ def fit_weibull_mle(
     """
     with _SPANS.span("mle.fit", m=len(x)) as span:
         try:
-            fit, diag = _fit_weibull_mle_impl(
-                x, mu_span, grid_points, min_offset_frac
-            )
+            fit, diag = _fit_weibull_mle_impl(x)
         except FitError as exc:
             span.set(cause=exc.cause)
             raise
@@ -412,27 +390,20 @@ def fit_weibull_mle(
 
 def _fit_weibull_mle_impl(
     x: np.ndarray,
-    mu_span: float,
-    grid_points: int,
-    min_offset_frac: float,
+    mu_span: float = _MU_SPAN,
+    grid_points: int = _GRID_POINTS,
+    min_offset_frac: float = _MIN_OFFSET_FRAC,
 ) -> Tuple[WeibullFit, dict]:
     """Uninstrumented fitter core; returns ``(fit, diagnostics)``.
 
-    The diagnostics dict carries the μ-profile search telemetry the
-    ``mle.fit`` span records: profile evaluations on the coarse
-    grid (and how many were finite), the refinement bracket around the
-    best offset, which refinement path ran (``"root"`` when the
-    profile derivative bracketed a sign change, ``"edge"`` when it did
-    not, the best offset is the first or last of the search and the
-    derivative there points out of it, which makes that offset the
-    fit, ``"minimize"`` for the bounded-minimizer fallback otherwise,
-    ``"none"`` when the bracket collapsed), and the exact scalar
-    profile solves it made (``profile_solves``, one per offset valued),
-    of which ``cold_solves`` ran the cold Brent shape solve.
-
-    Grid rows the vectorised pass vouches for and root-path points
-    start their shape solve from a known root (see the module doc); the
-    bounded minimizer's points keep the cold solve.
+    Tests pass other search settings to reach grid rows that round to
+    ``max(x)`` or pass the shape solver's limit.  The diagnostics are
+    the ``mle.fit`` span's: the coarse grid's size and finite values,
+    the refinement bracket around the best offset, what gave the fit
+    (``"root"``, the derivative's root in the bracket; else the best
+    grid point, ``"edge"`` at an end of the search, ``"grid"`` inside
+    it), and the exact profile solves (``profile_solves``, one per
+    offset valued), of which ``cold_solves`` ran the cold Brent solve.
     """
     x = _validate_sample(x)
     top = float(x.max())
@@ -453,8 +424,7 @@ def _fit_weibull_mle_impl(
     lls, err, roots = (np.concatenate(p) for p in zip(*passes))
     exact = set()
     # (ll, a, scale, cold) at every offset the scalar path valued
-    # without failing: the grid's exact rows, then the refinement's.
-    # Both solvers return one of those offsets.
+    # without failing: the grid's exact rows, then the root search's.
     profiles = {}
     todo = np.flatnonzero(np.isinf(err))
     while True:
@@ -485,30 +455,19 @@ def _fit_weibull_mle_impl(
     ll, a, scale, _ = profiles[offsets[best_idx]]
     best = (ll, top + offsets[best_idx], a, scale)
 
-    # Refine around the best grid offset.  When the bracket straddles a
-    # sign change of the profile derivative, locate the stationary point
-    # by root-finding: that pins μ̂ to ~machine precision, whereas a
-    # scalar minimizer on the likelihood itself can only localize an
-    # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  Without that sign change, a best offset at an end
-    # of the search whose derivative points out of it (d ≥ 0 at the
-    # last offset, d ≤ 0 at the first) is the fit ("edge"): the profile
-    # rises toward the search limit there (α̂ → ∞ at the top end, α̂ < 1
-    # at the bottom), so a minimizer on the end cell only creeps toward
-    # that end (to a point the 1e-9 tolerance below would let in).
-    # With a NaN derivative, or one that turns down inside the end
-    # cell, the grid point need not be the cell's best: those, and
-    # interior optima whose derivative test fails (clamped inner solves
-    # or a coarse grid), keep the bounded minimize.  The search starts
-    # at the first offset that leaves max(x): the ones below it round
-    # to max(x) (failed, zero-offset grid rows), so a best offset just
-    # above them is the bracket's lower end.
+    # Refine around the best grid offset: a root of the profile
+    # derivative pins μ̂ to ~machine precision, where a minimizer on the
+    # likelihood (flat to second order there) stops at ~sqrt(eps)
+    # relative.  Without a sign change the best grid point is the fit.
+    # The search starts at the first offset that leaves max(x): the ones
+    # below it round to max(x) (failed, zero-offset grid rows), so a
+    # best offset just above them is the bracket's lower end.
     last = offsets.size - 1
     first = int(np.count_nonzero(top + offsets == top))
     lo_off = offsets[max(best_idx - 1, first)]
     hi_off = offsets[min(best_idx + 1, last)]
-    refined: Optional[float] = None
-    refine_path = "none"
+    refine_path = "edge" if best_idx in (first, last) else "grid"
+    accepted = False
 
     def dll_at(off: float) -> float:
         # A root-path point starts from the root at the nearest offset
@@ -516,42 +475,23 @@ def _fit_weibull_mle_impl(
         if off not in profiles:
             near = min(profiles, key=lambda o: abs(o - off))
             profiles[off] = _profile_loglik(top + off, x, profiles[near][1])
-        return _profile_dll(top + off, x, profiles[off])[0]
+        return _profile_dll(top + off, x, profiles[off])
 
-    def neg_ll_at(off: float) -> float:
-        # The minimizer compares values of a nearly flat profile, so a
-        # change in their last bits moves where it stops (μ̂ by 2e-5
-        # relative on a 5-point grid): its points keep the cold solve.
-        profile = profiles[off] = _profile_loglik(top + off, x)
-        return -profile[0]
-
-    if hi_off > lo_off:
-        try:
-            d_lo = dll_at(lo_off)
-            d_hi = dll_at(hi_off)
-        except (FitError, FloatingPointError, OverflowError):
-            d_lo = d_hi = math.nan
-        if math.isfinite(d_lo) and math.isfinite(d_hi) and d_lo > 0.0 > d_hi:
-            refine_path = "root"
-            refined = brentq(
-                dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
-            )
-        elif (best_idx == last and d_hi >= 0.0) or (
-            best_idx == first and d_lo <= 0.0
-        ):
-            refine_path = "edge"
-        else:
-            refine_path = "minimize"
-            off, _, success = minimize_scalar_bounded(
-                neg_ll_at, (lo_off, hi_off), xatol=1e-10 * spread
-            )
-            if success:
-                refined = float(off)
-    if refined is not None:
+    try:
+        d_lo = dll_at(lo_off)
+        d_hi = dll_at(hi_off)
+    except (FitError, FloatingPointError, OverflowError):
+        d_lo = d_hi = math.nan
+    if math.isfinite(d_lo) and math.isfinite(d_hi) and d_lo > 0.0 > d_hi:
+        refine_path = "root"
+        refined = brentq(
+            dll_at, lo_off, hi_off, xtol=1e-13 * spread, fa=d_lo, fb=d_hi
+        )
         ll, a, scale, _ = profiles[refined]
         # Tolerance keeps the accept decision stable under ulp-level
         # input perturbations (e.g. the same sample at another scale).
-        if ll >= best[0] - 1e-9 * abs(best[0]):
+        accepted = ll >= best[0] - 1e-9 * abs(best[0])
+        if accepted:
             best = (ll, top + refined, a, scale)
 
     ll, mu, alpha, scale = best
@@ -574,7 +514,7 @@ def _fit_weibull_mle_impl(
         "grid_points": int(offsets.size),
         "grid_finite": int(np.isfinite(lls).sum()),
         "refine": refine_path,
-        "refine_accepted": refined is not None and best[1] == top + refined,
+        "refine_accepted": accepted,
         "bracket_lo": float(lo_off),
         "bracket_hi": float(hi_off),
         "mu_offset": float(mu - top),

@@ -29,6 +29,7 @@ so slow jobs never block status polls and N jobs run on N cores.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -107,6 +108,28 @@ class _ApiError(Exception):
         super().__init__(message)
 
 
+class _ReplyWriter(io.BufferedIOBase):
+    """A handler's ``wfile``: holds what is written until ``flush``.
+
+    ``_dispatch`` flushes once it has finished the request's span, so a
+    client that has read a reply finds the request in ``/metrics``; the
+    SSE stream flushes each event itself.
+    """
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._held = bytearray()
+
+    def write(self, data) -> int:
+        self._held += data
+        return len(data)
+
+    def flush(self) -> None:
+        held, self._held = self._held, bytearray()
+        if held:
+            self._sock.sendall(held)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests against ``self.server.app`` (the JobServer)."""
 
@@ -114,6 +137,16 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
 
     # -- plumbing -------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ReplyWriter(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        # The interim reply must leave before the body is read.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
@@ -121,22 +154,22 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, json.dumps(payload), "application/json", headers)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
+    def _send_text(
+        self,
+        status: int,
+        text: str,
+        content_type: str,
+        headers: Optional[dict] = None,
+    ) -> None:
         body = text.encode("utf-8")
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, str(value))
         self.end_headers()
         self.wfile.write(body)
 
@@ -207,6 +240,10 @@ class _Handler(BaseHTTPRequestHandler):
                 status="error" if self._status >= 500 else "ok",
                 http_status=self._status,
             )
+        try:
+            self.wfile.flush()  # the reply leaves after its span ends
+        except BrokenPipeError:
+            pass  # client went away
 
     # -- routing --------------------------------------------------------
     def _route(self, app: "JobServer", method: str, segments, query) -> None:

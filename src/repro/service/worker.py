@@ -60,11 +60,12 @@ cache key includes the build seed, so it can never alias two different
 populations.
 
 A worker process closes the server's listening socket and every pipe
-end but its own, never touches the server's SQLite connection, and
-exits when its pipe closes: at once when idle, at its next message when
-busy — so a killed server leaves no workers behind.  A worker process
-that dies mid-job fails only that job, with an error naming its exit
-code, and the pool forks a replacement.
+end but its own before ``start()`` (or a refork) returns, never touches
+the server's SQLite connection, and exits when its pipe closes: at once
+when idle, at its next message when busy — so a killed server leaves no
+workers behind.  A worker process that dies mid-job fails only that
+job, with an error naming its exit code, and the pool forks a
+replacement.
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ def _trajectory_entry(hs, interval, cumulative_units: int) -> dict:
 
 #: The thread's one message to a busy worker process: unwind the job.
 _STOP = "stop"
+
+#: A new worker process's first message: it holds no handle of the
+#: server's but its own pipe end.
+_READY = "ready"
 
 
 def _relay(conn, message) -> None:
@@ -213,6 +218,10 @@ def _worker_main(conn, inherited) -> None:
     # The fork kept the server's recording switches; drop its trace
     # sink without writing, since the server writes the spans it merges.
     _SPANS.close()
+    try:
+        conn.send(_READY)
+    except OSError:
+        return
     populations: "OrderedDict[tuple, object]" = OrderedDict()
     while True:
         try:
@@ -351,7 +360,8 @@ class WorkerPool:
             worker.conn.close()
 
     def _fork_locked(self, index: int) -> None:
-        """Fork the worker process of slot ``index`` (``_fork_lock`` held)."""
+        """Fork the worker process of slot ``index`` (``_fork_lock`` held)
+        and wait until it has closed what it inherited, or died."""
         ours, theirs = _FORK.Pipe()
         inherited = [ours] + [w.conn for w in self._workers if w is not None]
         if self._listener is not None:
@@ -363,6 +373,10 @@ class WorkerPool:
         )
         process.start()
         theirs.close()
+        try:
+            ours.recv()  # _READY, or EOF once it has died
+        except (EOFError, OSError):
+            pass  # the next job finds it dead
         self._workers[index] = _Worker(process, ours)
 
     # -- lease keeper ---------------------------------------------------

@@ -1,11 +1,10 @@
-"""The in-repo Brent solvers return scipy.optimize's doubles.
+"""The in-repo Brent root finder returns scipy.optimize's doubles.
 
-scipy's ``brentq`` and ``minimize_scalar(method="bounded")`` are the
-reference: every case runs both on the same function and requires the
-same root, the same ``(x, fun, success)``, or the same exception type.
-The brackets are the fitter's own: the Weibull shape equation of
-``_solve_shape`` and the profile derivative and likelihood around the
-best offset of the coarse μ grid.
+scipy's ``brentq`` is the reference: every case runs both on the same
+function and requires the same root or the same exception type.  The
+brackets are the fitter's own: the Weibull shape equation of
+``_solve_shape`` and the profile derivative around the best offset of
+the coarse μ grid.
 """
 
 import math
@@ -16,13 +15,7 @@ from scipy import optimize
 
 from repro.errors import FitError
 from repro.evt import mle
-from repro.evt.brent import brentq, minimize_scalar_bounded
-
-
-def _same(a, b) -> bool:
-    """Equal doubles, NaN counting as equal to NaN."""
-    a, b = float(a), float(b)
-    return a == b or (math.isnan(a) and math.isnan(b))
+from repro.evt.brent import brentq
 
 
 def _root(solver, f, a, b, **kwargs):
@@ -91,7 +84,9 @@ class TestBrentq:
             top, spread, offsets, best = _grid(x)
 
             def dll(off):
-                return mle._profile_dll(top + off, x)[0]
+                return mle._profile_dll(
+                    top + off, x, mle._profile_loglik(top + off, x)
+                )
 
             for i in (best, int(rng.integers(80))):
                 lo = offsets[max(i - 1, 0)]
@@ -143,77 +138,3 @@ class TestBrentq:
         with pytest.raises(ValueError, match="NaN"):
             brentq(lambda x: x - 1.0, 0.0, 2.0, fb=math.nan)
 
-
-def _minimum(solver, f, bounds, xatol):
-    try:
-        if solver is minimize_scalar_bounded:
-            return ("min", *solver(f, bounds, xatol=xatol))
-        res = optimize.minimize_scalar(
-            f, bounds=bounds, method="bounded", options={"xatol": xatol}
-        )
-        return ("min", res.x, res.fun, res.success)
-    except (ValueError, FitError) as exc:
-        return ("raised", type(exc))
-
-
-def _assert_same_minimum(got, expected, context):
-    assert got[0] == expected[0], context
-    if expected[0] == "raised":
-        assert got == expected, context
-    else:
-        _, x, fun, success = got
-        assert _same(x, expected[1]) and _same(fun, expected[2]), context
-        assert success == bool(expected[3]), context
-
-
-class TestMinimizeScalarBounded:
-    @pytest.mark.parametrize("chunk", range(2))
-    def test_profile_likelihood_brackets(self, chunk):
-        """2,000 profile-likelihood brackets from the fitter's grid:
-        around its best offset and around a random one."""
-        rng = np.random.default_rng([23, chunk])
-        for case in range(500):
-            x = _sample(rng)
-            top, spread, offsets, best = _grid(x)
-
-            def neg_ll(off):
-                return -mle._profile_loglik(top + off, x)[0]
-
-            for i in (best, int(rng.integers(80))):
-                bounds = (offsets[max(i - 1, 0)], offsets[min(i + 1, 79)])
-                xatol = 1e-10 * spread
-                expected = _minimum(None, neg_ll, bounds, xatol)
-                got = _minimum(minimize_scalar_bounded, neg_ll, bounds, xatol)
-                _assert_same_minimum(got, expected, (case, x.tolist(), i))
-
-    @pytest.mark.parametrize(
-        "f, bounds, xatol",
-        [
-            (lambda x: x, (1.0, 2.0), 1e-5),  # optimum at the lower bound
-            (lambda x: -x, (1.0, 2.0), 1e-5),  # ... and at the upper one
-            (lambda x: (x - 0.3) ** 2, (0.0, 1.0), 1e-12),
-            (lambda x: math.nan, (0.0, 1.0), 1e-5),  # NaN objective
-            (lambda x: math.nan if x > 0.6 else (x - 0.5) ** 2, (0.0, 1.0), 1e-5),
-            (lambda x: abs(x - 0.25), (0.0, 1.0), 1e-9),
-            (lambda x: x, (1.0, 1.0), 1e-5),  # a point interval
-            (lambda x: x, (2.0, 1.0), 1e-5),  # reversed bounds
-            (lambda x: x, (0.0, math.inf), 1e-5),  # infinite bound
-        ],
-        ids=[
-            "lower-bound", "upper-bound", "parabola", "nan", "nan-part",
-            "kink", "point", "reversed", "infinite",
-        ],
-    )
-    def test_edge_cases(self, f, bounds, xatol):
-        expected = _minimum(None, f, bounds, xatol)
-        got = _minimum(minimize_scalar_bounded, f, bounds, xatol)
-        _assert_same_minimum(got, expected, bounds)
-
-    def test_maxiter(self):
-        f = lambda x: (x - 0.3) ** 2  # noqa: E731
-        res = optimize.minimize_scalar(
-            f, bounds=(0.0, 1.0), method="bounded", options={"maxiter": 3}
-        )
-        x, fun, success = minimize_scalar_bounded(f, (0.0, 1.0), maxiter=3)
-        assert (x, fun, success) == (res.x, res.fun, res.success)
-        assert not success

@@ -142,15 +142,16 @@ class TestFisherCovariance:
 #
 # The reference below is the scalar fitter as it stood before the grid
 # was vectorised, kept verbatim (only the names carry a ``_ref`` prefix)
-# apart from the edge rule of the refinement and the search's first
-# offset, which it takes too: shape solver (scipy's Brent from the cold
-# bracket), profile likelihood and derivative, the per-offset grid loop
-# and the refinement.  The production fitter, whose shape solves start
-# Newton from a known root, must return the same outcome, diagnostics
-# and FitError cause, and the same fit up to the shape roots' rounding
+# apart from the refinement rule and the search's first offset, which
+# it takes too: shape solver (scipy's Brent from the cold bracket),
+# profile likelihood and derivative, the per-offset grid loop and the
+# refinement.  The production fitter, whose shape solves start Newton
+# from a known root, must return the same outcome, diagnostics and
+# FitError cause, and the same fit up to the shape roots' rounding
 # (``_assert_matches_reference``).  With ``edge=False`` the reference
-# runs the bounded minimizer at the grid ends too, as the fitter did
-# before that rule (TestEdgeOptima).
+# runs scipy's bounded minimizer wherever the derivative brackets no
+# root, as the fitter did before it kept the grid point there
+# (TestEdgeOptima).
 
 
 def _ref_weibull_shape_equation(a: float, y: np.ndarray, mean_ln: float) -> float:
@@ -243,48 +244,42 @@ def _reference_fit(
     # by root-finding: that pins μ̂ to ~machine precision, whereas a
     # scalar minimizer on the likelihood itself can only localize an
     # optimum to ~sqrt(eps) relative (the likelihood is flat to second
-    # order there).  Otherwise a best offset at an end of the search
-    # whose derivative points out of it is the fit ("edge"); the bounded
-    # minimize remains as the fallback for the rest (and, with
-    # ``edge=False``, for those too).  The search starts at the first
-    # offset for which ``top + offset`` leaves ``top``.
+    # order there).  Otherwise the best grid point is the fit ("edge" at
+    # an end of the search, "grid" inside it), or, with ``edge=False``,
+    # the bounded minimize runs on the bracket.  The search starts at
+    # the first offset for which ``top + offset`` leaves ``top``.
     best_idx = int(np.argmax(lls))
     first = int(np.count_nonzero(top + offsets == top))
+    last = offsets.size - 1
     lo_off = offsets[max(best_idx - 1, first)]
-    hi_off = offsets[min(best_idx + 1, offsets.size - 1)]
+    hi_off = offsets[min(best_idx + 1, last)]
     refined: Optional[float] = None
-    refine_path = "none"
-    if hi_off > lo_off:
-        try:
-            d_lo = _ref_profile_dll(top + lo_off, x)[0]
-            d_hi = _ref_profile_dll(top + hi_off, x)[0]
-        except (FitError, FloatingPointError, OverflowError):
-            d_lo = d_hi = math.nan
-        if math.isfinite(d_lo) and math.isfinite(d_hi) and d_lo > 0.0 > d_hi:
-            refine_path = "root"
-            refined = float(
-                optimize.brentq(
-                    lambda off: _ref_profile_dll(top + off, x)[0],
-                    lo_off,
-                    hi_off,
-                    xtol=1e-13 * spread,
-                )
+    refine_path = "edge" if best_idx in (first, last) else "grid"
+    try:
+        d_lo = _ref_profile_dll(top + lo_off, x)[0]
+        d_hi = _ref_profile_dll(top + hi_off, x)[0]
+    except (FitError, FloatingPointError, OverflowError):
+        d_lo = d_hi = math.nan
+    if math.isfinite(d_lo) and math.isfinite(d_hi) and d_lo > 0.0 > d_hi:
+        refine_path = "root"
+        refined = float(
+            optimize.brentq(
+                lambda off: _ref_profile_dll(top + off, x)[0],
+                lo_off,
+                hi_off,
+                xtol=1e-13 * spread,
             )
-        elif edge and (
-            (best_idx == offsets.size - 1 and d_hi >= 0.0)
-            or (best_idx == first and d_lo <= 0.0)
-        ):
-            refine_path = "edge"
-        else:
-            refine_path = "minimize"
-            result = optimize.minimize_scalar(
-                lambda off: -_ref_profile_loglik(top + off, x)[0],
-                bounds=(lo_off, hi_off),
-                method="bounded",
-                options={"xatol": 1e-10 * spread},
-            )
-            if result.success:
-                refined = float(result.x)
+        )
+    elif not edge:
+        refine_path = "minimize"
+        result = optimize.minimize_scalar(
+            lambda off: -_ref_profile_loglik(top + off, x)[0],
+            bounds=(lo_off, hi_off),
+            method="bounded",
+            options={"xatol": 1e-10 * spread},
+        )
+        if result.success:
+            refined = float(result.x)
     if refined is not None:
         try:
             ll, a, scale = _ref_profile_loglik(top + refined, x)
@@ -323,6 +318,10 @@ def _reference_fit(
     return fit, diag
 
 
+#: The fitter's search settings: ``(mu_span, grid_points, min_offset_frac)``.
+_DEFAULT = (mle._MU_SPAN, mle._GRID_POINTS, mle._MIN_OFFSET_FRAC)
+
+
 def _identity_case(seed: int):
     """One seeded sample and fitter settings for the identity check.
 
@@ -351,7 +350,7 @@ def _identity_case(seed: int):
     x = x * (1e-3, 1.0, 1e6)[int(rng.integers(3))]
     if rng.random() < 0.1:
         x = x + 1e6
-    settings = (10.0, 80, 1e-4)
+    settings = _DEFAULT
     if rng.random() < 0.3:
         settings = (
             float(rng.choice([0.5, 2.0, 40.0, 300.0, 1e8, 1e10])),
@@ -400,6 +399,7 @@ def _assert_same_fit(got, expected, context):
 
 
 def _assert_matches_reference(x, settings, context):
+    """The fitter's outcome, checked against the reference."""
     expected = _outcome(_reference_fit, x, settings)
     got = _outcome(mle._fit_weibull_mle_impl, x, settings)
     if expected[0] == "raised":
@@ -409,6 +409,7 @@ def _assert_matches_reference(x, settings, context):
         assert got[0] in ("fit", "error"), context
     else:
         _assert_same_fit(got, expected, context)
+    return got
 
 
 class TestVectorisedGridIdentity:
@@ -417,10 +418,15 @@ class TestVectorisedGridIdentity:
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_matches_scalar_reference(self, chunk):
+        """At the default grid no fit is a bare interior grid point: the
+        derivative brackets a root, or the best offset ends the search."""
         with np.errstate(all="ignore"):
             for seed in range(250 * chunk, 250 * (chunk + 1)):
                 x, settings = _identity_case(seed)
-                _assert_matches_reference(x, settings, (seed, x.tolist(), settings))
+                context = (seed, x.tolist(), settings)
+                got = _assert_matches_reference(x, settings, context)
+                if settings == _DEFAULT and got[0] == "fit":
+                    assert got[2]["refine"] in ("root", "edge"), context
 
     @pytest.mark.parametrize(
         "x",
@@ -436,7 +442,7 @@ class TestVectorisedGridIdentity:
         ids=["zero-residual", "row-blocks"],
     )
     def test_matches_scalar_reference_on_edge_samples(self, x):
-        _assert_matches_reference(x, (10.0, 80, 1e-4), x.tolist())
+        _assert_matches_reference(x, _DEFAULT, x.tolist())
 
 
 def _grid_offsets(x, settings):
@@ -456,8 +462,8 @@ class TestEdgeOptima:
 
     def test_top_end_is_the_search_limit(self):
         x = self._normal_maxima(0)
-        fit, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
-        offsets = _grid_offsets(x, (10.0, 80, 1e-4))
+        fit, diag = mle._fit_weibull_mle_impl(x)
+        offsets = _grid_offsets(x, _DEFAULT)
         assert diag["refine"] == "edge"
         assert not diag["refine_accepted"]
         assert fit.mu == x.max() + offsets[-1]
@@ -466,8 +472,8 @@ class TestEdgeOptima:
 
     def test_bottom_end_heavy_lower_tail(self):
         x = self._normal_maxima(16)
-        fit, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
-        offsets = _grid_offsets(x, (10.0, 80, 1e-4))
+        fit, diag = mle._fit_weibull_mle_impl(x)
+        offsets = _grid_offsets(x, _DEFAULT)
         assert diag["refine"] == "edge"
         assert fit.mu == x.max() + offsets[0]
         assert diag["bracket_lo"] == offsets[0]
@@ -475,37 +481,37 @@ class TestEdgeOptima:
 
     @pytest.mark.parametrize("slope", [math.nan, -1.0])
     def test_end_needs_an_outward_derivative(self, monkeypatch, slope):
-        """The end point is the fit only while the profile rises toward
-        the search limit: with a NaN derivative, or one that turns down
-        inside the end cell, the bounded minimizer searches that cell."""
+        """No sign change, no search inside the end cell: with a NaN
+        derivative, or one that turns down inside it, the end grid point
+        is still the fit."""
         x = self._normal_maxima(0)
-        profile_dll = mle._profile_dll
-
-        def dll(mu, x, profile=None):
-            return slope, profile_dll(mu, x, profile)[1]
-
-        monkeypatch.setattr(mle, "_profile_dll", dll)
-        _, diag = mle._fit_weibull_mle_impl(x, 10.0, 80, 1e-4)
-        assert diag["refine"] == "minimize"
-        assert diag["bracket_hi"] == _grid_offsets(x, (10.0, 80, 1e-4))[-1]
+        monkeypatch.setattr(mle, "_profile_dll", lambda mu, x, profile: slope)
+        fit, diag = mle._fit_weibull_mle_impl(x)
+        offsets = _grid_offsets(x, _DEFAULT)
+        assert diag["refine"] == "edge"
+        assert not diag["refine_accepted"]
+        assert fit.mu == x.max() + offsets[-1]
+        assert diag["bracket_hi"] == offsets[-1]
 
     def test_root_path_still_runs_at_a_grid_end(self):
         x, settings = _identity_case(1159)
-        assert settings == (10.0, 80, 1e-4)
+        assert settings == _DEFAULT
         _, diag = mle._fit_weibull_mle_impl(x, *settings)
         assert diag["refine"] == "root"
         assert diag["bracket_hi"] == _grid_offsets(x, settings)[-1]
 
     @pytest.mark.parametrize("chunk", range(2))
     def test_only_grid_end_minimizer_fits_move(self, chunk):
-        """Against the refinement before the rule, on the identity
-        samples: a fit changes only where that one ran the minimizer on
-        an end cell of the grid, and its log-likelihood does not fall
-        (by more than the warm shape solves' rounding, 1e-12 relative).
+        """Against the bounded minimizer the fitter ran on every bracket
+        without a derivative root (``_reference_fit`` with ``edge=False``),
+        on the identity samples: no end cell holds a better point than
+        its grid end.  An edge fit keeps the minimizer's search
+        diagnostics, and its log-likelihood does not fall (by more than
+        the warm shape solves' rounding, 1e-12 relative).
 
-        Only the edge fits need the old reference: on every other sample
-        ``_reference_fit`` takes the same branch with ``edge`` on or off,
-        and TestVectorisedGridIdentity holds the fitter to it."""
+        Root fits take the same branch with ``edge`` on or off, and
+        TestVectorisedGridIdentity holds the fitter to them; the interior
+        grid fits are test_coarse_grid_keeps_its_best_point's."""
         grid_keys = ("m", "grid_points", "grid_finite", "bracket_lo", "bracket_hi")
         edge_fits = 0
         with np.errstate(all="ignore"):
@@ -541,6 +547,30 @@ class TestEdgeOptima:
                 assert fit.mu == pytest.approx(old_fit.mu, rel=1e-7), context
         assert edge_fits > 300
 
+    def test_coarse_grid_keeps_its_best_point(self):
+        """5 grid points over 1e8·range(x), and no sign change of the
+        derivative around the best, interior, offset: that grid point is
+        the fit (``grid``), 1.18 below the log-likelihood the bounded
+        minimizer reached.  No default-grid fit is one."""
+        x, settings = _identity_case(1494)
+        assert settings[:2] == (1e8, 5)
+        fit, diag = mle._fit_weibull_mle_impl(x, *settings)
+        offsets = _grid_offsets(x, settings)
+        assert diag["refine"] == "grid"
+        assert not diag["refine_accepted"]
+        assert fit.mu in x.max() + offsets[1:-1]
+        old = _reference_fit(x, *settings, edge=False)[0]
+        assert old.loglik - fit.loglik == pytest.approx(1.18, rel=0.01)
+        # The other such grid's best point has α̂ ≈ 5,900, so β =
+        # scale^−α underflows: that fit fails, where the minimizer's
+        # point (α̂ ≈ 67) did not.
+        x, settings = _identity_case(1601)
+        assert settings[:2] == (1e8, 5)
+        with pytest.raises(FitError) as info:
+            mle._fit_weibull_mle_impl(x, *settings)
+        assert info.value.cause == "param-range"
+        assert _reference_fit(x, *settings, edge=False)[0].alpha < 100.0
+
 
 class TestWarmShapeSolve:
     """An exact shape solve with a start runs Newton on ``ln a`` from it,
@@ -573,22 +603,27 @@ class TestWarmShapeSolve:
 
     def test_normal_block_maxima_make_no_cold_solves(self):
         """Every 5th identity seed (block maxima of normals, like the
-        estimator's) at default settings: every exact profile solve,
-        grid row or refinement point, starts from a known root."""
+        estimator's) at default settings, and 2,000 seeded samples of
+        m = 10 maxima of 30 normals: every exact profile solve, grid row
+        or refinement point, starts from a known root, and every fit is
+        a derivative root or a search end (``edge``), never an interior
+        grid point."""
+        samples = [
+            x for x, settings in map(_identity_case, range(4, 2000, 5))
+            if settings == _DEFAULT
+        ] + [TestEdgeOptima._normal_maxima(seed) for seed in range(2000)]
         fits = solves = 0
         with np.errstate(all="ignore"):
-            for seed in range(4, 2000, 5):
-                x, settings = _identity_case(seed)
-                if settings != (10.0, 80, 1e-4):
-                    continue
+            for x in samples:
                 try:
-                    _, diag = mle._fit_weibull_mle_impl(x, *settings)
+                    _, diag = mle._fit_weibull_mle_impl(x)
                 except FitError:
                     continue
                 fits += 1
                 solves += diag["profile_solves"]
-                assert diag["cold_solves"] == 0, (seed, diag)
-        assert fits > 250 and solves > 2000
+                assert diag["cold_solves"] == 0, (x.tolist(), diag)
+                assert diag["refine"] in ("root", "edge"), (x.tolist(), diag)
+        assert fits > 2250 and solves > 12000
 
 
 class TestZeroOffset:
@@ -602,7 +637,7 @@ class TestZeroOffset:
             # Spread 5e-5 at 1e6: the smallest offsets round away.
             (1e6 + np.random.default_rng(1).uniform(0.0, 5e-5, 9), (10.0, 80, 1e-7)),
             # Default settings, spread below ~1e-12 of the values.
-            (1.0 + np.random.default_rng(2).uniform(0.0, 1e-13, 10), (10.0, 80, 1e-4)),
+            (1.0 + np.random.default_rng(2).uniform(0.0, 1e-13, 10), _DEFAULT),
         ],
         ids=["offset-1e6", "spread-1e-13"],
     )
@@ -611,7 +646,7 @@ class TestZeroOffset:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                fit = fit_weibull_mle(x, *settings)
+                fit, _ = mle._fit_weibull_mle_impl(x, *settings)
             except FitError:
                 return
         assert fit.mu > x.max()

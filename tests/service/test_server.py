@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.request
 
@@ -104,6 +105,20 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(request)
         assert exc.value.code == 400
+
+    def test_expect_100_continue_answered_before_the_body(self, service):
+        # A reply is held until its request is done; the interim one
+        # must still leave at once, or the client waits to send.
+        server, _client = service
+        head = (
+            "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            "Content-Length: 2\r\nExpect: 100-continue\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            assert sock.recv(1024).startswith(b"HTTP/1.1 100 ")
+            sock.sendall(b"{}")
+            assert sock.recv(1024).startswith(b"HTTP/1.1 400 ")
 
     def test_spec_without_circuit_400(self, service):
         _server, client = service

@@ -24,6 +24,7 @@ from repro.api import EstimatorConfig, build_population, estimate, run_many
 from repro.obs import build_span_tree
 from repro.obs.metrics import get_registry
 from repro.service import Client
+from repro.service import worker as worker_module
 from repro.service.jobs import JobSpec, JobState
 
 # Label values are quoted and may hold braces (endpoint="/v1/jobs/{id}").
@@ -145,6 +146,22 @@ def socket_inodes(pid: int):
     return inodes
 
 
+def assert_workers_hold_no_server_handle(server) -> None:
+    """No worker process holds the listening socket or a pipe end the
+    server holds."""
+    listener = os.fstat(server._httpd.socket.fileno()).st_ino
+    pipes = {
+        os.fstat(worker.conn.fileno()).st_ino
+        for worker in server.pool._workers
+    }
+    for pid in server.pool.worker_pids():
+        held = socket_inodes(pid)
+        assert listener not in held
+        # Each worker holds one end of its own pipe and no end the
+        # server holds.
+        assert not held & pipes
+
+
 def wait_for(predicate, timeout=10.0, interval=0.02):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -179,18 +196,21 @@ class TestLifecycle:
         assert server.pool.worker_pids() == []
 
     def test_workers_hold_no_server_socket_or_sibling_pipe(self, fabric):
-        server = fabric(workers=2)
-        listener = os.fstat(server._httpd.socket.fileno()).st_ino
-        pipes = {
-            os.fstat(worker.conn.fileno()).st_ino
-            for worker in server.pool._workers
-        }
-        for pid in server.pool.worker_pids():
-            held = socket_inodes(pid)
-            assert listener not in held
-            # Each worker holds one end of its own pipe and no end the
-            # server holds.
-            assert not held & pipes
+        assert_workers_hold_no_server_handle(fabric(workers=2))
+
+    def test_start_waits_for_workers_to_drop_server_handles(
+        self, fabric, monkeypatch
+    ):
+        # A worker slow to close what it inherited holds the handles
+        # until it has, so start() must wait for it.
+        main = worker_module._worker_main
+
+        def slow_main(conn, inherited):
+            time.sleep(0.5)
+            main(conn, inherited)
+
+        monkeypatch.setattr(worker_module, "_worker_main", slow_main)
+        assert_workers_hold_no_server_handle(fabric(workers=2))
 
     def test_killed_worker_fails_only_its_job_and_is_replaced(
         self, fabric, quick_spec, bench_path
